@@ -8,7 +8,7 @@ product families together with the bounded positivity certifications built
 on them.
 """
 
-from .curves import CurveClass, MappingClass, curve, gcd_decompose, intersection_number, mcg_apply, sigma
+from .curves import CurveClass, MappingClass, curve, gcd_decompose, intersection_number, sigma
 from .elements import NoProductRuleError, SkeinElement, split_by_q_exponent
 from .laurent import Laurent, parse_laurent, q_power, quantum_int
 from .polyseq import (
@@ -21,7 +21,6 @@ from .polyseq import (
     chebyshev,
     expand_in,
     load_sequence_file,
-    poly_mul,
     seq_leq,
     substitute_t,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "curve",
     "gcd_decompose",
     "intersection_number",
-    "mcg_apply",
     "sigma",
     "NoProductRuleError",
     "SkeinElement",
@@ -54,7 +52,6 @@ __all__ = [
     "chebyshev",
     "expand_in",
     "load_sequence_file",
-    "poly_mul",
     "seq_leq",
     "substitute_t",
     "lower_bound_certify",

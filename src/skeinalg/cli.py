@@ -15,8 +15,7 @@ import json
 import sys
 
 from . import curves, positivity, skein_ptorus, skein_s04, skein_torus
-from .curves import CurveClass, parse_slope
-from .elements import NoProductRuleError
+from .elements import single
 from .polyseq import (
     PolySeq,
     builtin_sequence,
@@ -51,37 +50,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_flavored(text: str, letters: str) -> tuple[str, CurveClass]:
-    t = text.strip()
-    if t and t[0] in letters:
-        return t[0], parse_slope(t[1:])
-    raise ValueError(
-        f"expected a label of the form {' or '.join(f'{c}(r,s)' for c in letters)}, "
-        f"got {text!r}"
-    )
+def _print_element(elem, as_json: bool) -> int:
+    print(_dump(elem.to_json_obj()) if as_json else elem.text())
+    return 0
 
 
-def _parse_power(text: str, head: str) -> int | None:
-    """Parse ``head`` or ``head^k`` into the exponent k, else None."""
-    t = text.strip()
-    if t == head:
-        return 1
-    if t.startswith(head + "^"):
-        tail = t[len(head) + 1 :]
-        if tail.isdigit() and int(tail) > 0:
-            return int(tail)
-        raise ValueError(f"bad exponent in {text!r}")
-    return None
-
-
-def _parse_gamma_power(text: str) -> tuple[int, int] | None:
-    """Parse ``gi`` or ``gi^k`` into (index, power), else None."""
-    t = text.strip()
-    if len(t) >= 2 and t[0] == "g" and t[1] in "1234":
-        k = _parse_power(t, t[:2])
-        if k is not None:
-            return int(t[1]) - 1, k
-    return None
+def _require_n_max(n_max: int, least: int) -> None:
+    """Reject a range that would make a verdict vacuous."""
+    if n_max < least:
+        raise ValueError(f"--n-max must be at least {least}, got {n_max}")
 
 
 # -- tor -----------------------------------------------------------------------
@@ -91,12 +68,7 @@ def _cmd_tor_mul(args) -> int:
     P = resolve_sequence(args.basis)
     a = skein_torus.label_from_text(args.a)
     b = skein_torus.label_from_text(args.b)
-    elem = skein_torus.structure_constants(P, a, b)
-    if args.json:
-        print(_dump(elem.to_json_obj()))
-    else:
-        print(elem.text())
-    return 0
+    return _print_element(skein_torus.structure_constants(P, a, b), args.json)
 
 
 def _cmd_tor_scan(args) -> int:
@@ -122,64 +94,16 @@ def _cmd_tor_scan(args) -> int:
 # -- ptor ----------------------------------------------------------------------
 
 
-def _ptor_dispatch(a: CurveClass, b: CurveClass):
-    if (a.r, a.s) == (1, 0) and b.s == 2:
-        return skein_ptorus.mul_t10_tn2(b.r)
-    if a.s == 1 and a.r >= 0 and (b.r, b.s) == (0, 1):
-        return skein_ptorus.mul_tn1_t01(a.r)
-    if b.is_primitive:
-        return skein_ptorus.mul_once(skein_ptorus.PTorusLabel(a, 0), b)
-    raise NoProductRuleError(
-        f"no product rule for T{a.text()} * T{b.text()} on the punctured torus"
-    )
-
-
-def _ptor_operand(text: str):
-    u = _parse_power(text, "U")
-    if u is not None:
-        return ("u", u)
-    _, slope = _parse_flavored(text, "T")
-    return ("slope", slope)
-
-
 def _cmd_ptor_mul(args) -> int:
-    ka, va = _ptor_operand(args.a)
-    kb, vb = _ptor_operand(args.b)
-    if ka == "u" and kb == "u":
-        # Pure peripheral product: one-variable multiplication on U.
-        from .polyseq import THAT, expand_in, poly_mul
-
-        prod = poly_mul(THAT.poly(va), THAT.poly(vb))
-        terms = [
-            (skein_ptorus.PTorusLabel(None, j), c)
-            for j, c in enumerate(expand_in(prod, THAT))
-            if not c.is_zero
-        ]
-        from .elements import SkeinElement
-
-        elem = SkeinElement(skein_ptorus.SURFACE, "that", terms)
-    elif ka == "u" or kb == "u":
-        # The peripheral curve is central: the product of disjoint basis
-        # factors is the joint basis label.
-        u = va if ka == "u" else vb
-        slope = vb if ka == "u" else va
-        from .elements import single
-
-        elem = single(
-            skein_ptorus.SURFACE, "that", skein_ptorus.PTorusLabel(slope, u)
-        )
-    else:
-        elem = _ptor_dispatch(va, vb)
-    if args.json:
-        print(_dump(elem.to_json_obj()))
-    else:
-        print(elem.text())
-    return 0
+    a = skein_ptorus.label_from_text(args.a)
+    b = skein_ptorus.label_from_text(args.b)
+    return _print_element(skein_ptorus.product(a, b), args.json)
 
 
 def _cmd_ptor_verify(args) -> int:
     n_max = args.n_max
     if args.check == "g-closed":
+        _require_n_max(n_max, 0)
         bad = [
             n
             for n in range(n_max + 1)
@@ -191,6 +115,7 @@ def _cmd_ptor_verify(args) -> int:
             "all equal" if passed else f"mismatches at {bad}"
         )
     else:
+        _require_n_max(n_max, 2)
         bad = []
         for n in range(2, n_max + 1):
             w1, w2 = skein_ptorus.two_way_expansion(n)
@@ -231,67 +156,12 @@ def _cmd_ptor_extract(args) -> int:
 # -- s04 -----------------------------------------------------------------------
 
 
-def _s04_dispatch(la: str, a: CurveClass, lb: str, b: CurveClass):
-    if la != lb:
-        raise NoProductRuleError("both labels must use the same basis letter")
-    if la == "S":
-        if (a.r, a.s) == (1, 0) and b.s == 2:
-            return skein_s04.mul_s10_sm2(b.r)
-        if (a.r, a.s) == (1, 0) and b.s == 1:
-            return skein_s04.mul_a_bn(b.r, "s")
-        if (a.r, a.s) == (1, 0) and b.s == 0:
-            return skein_s04.mul_by_s10(
-                skein_s04._single(skein_s04.S04Label(b), 1, "s")
-            )
-        if a.s == 1 and a.r >= 0 and (b.r, b.s) == (0, 1):
-            return skein_s04.mul_sn1_s01(a.r)[0]
-    else:
-        if (a.r, a.s) == (1, 0) and b.s == 1:
-            return skein_s04.mul_a_bn(b.r, "that")
-        if a.s == 0 and (b.r, b.s) == (0, 1):
-            return skein_s04.mul_tna_b(a.r)
-    raise NoProductRuleError(
-        f"no product rule for {la}{a.text()} * {lb}{b.text()} on the sphere"
-    )
-
-
-def _s04_operand(text: str):
-    g = _parse_gamma_power(text)
-    if g is not None:
-        return ("gamma", g)
-    letter, slope = _parse_flavored(text, "TS")
-    return ("slope", (letter, slope))
-
-
 def _cmd_s04_mul(args) -> int:
-    ka, va = _s04_operand(args.a)
-    kb, vb = _s04_operand(args.b)
-    if ka == "gamma" or kb == "gamma":
-        # Peripheral curves are central monomials: merge exponents.
-        from .elements import single
-
-        g = [0, 0, 0, 0]
-        slope = None
-        flavor = "s"
-        for kind, val in ((ka, va), (kb, vb)):
-            if kind == "gamma":
-                idx, power = val
-                g[idx] += power
-            else:
-                letter, slope = val
-                flavor = "s" if letter == "S" else "that"
-        elem = single(
-            skein_s04.SURFACE, flavor, skein_s04.S04Label(slope, tuple(g))
-        )
-    else:
-        la, a = va
-        lb, b = vb
-        elem = _s04_dispatch(la, a, lb, b)
-    if args.json:
-        print(_dump(elem.to_json_obj()))
-    else:
-        print(elem.text())
-    return 0
+    fa, a = skein_s04.operand_from_text(args.a)
+    fb, b = skein_s04.operand_from_text(args.b)
+    if fa and fb and fa != fb:
+        raise ValueError("both labels must use the same basis letter")
+    return _print_element(skein_s04.product(a, b, fa or fb or "s"), args.json)
 
 
 def _h_bounds_failures(n_max: int) -> list[dict]:
@@ -311,6 +181,8 @@ def _h_bounds_failures(n_max: int) -> list[dict]:
 
 def _cmd_s04_verify(args) -> int:
     n_max = args.n_max
+    # sigma checks -n_max <= n < n_max; the other checks start at n = 0 or 1.
+    _require_n_max(n_max, 0 if args.check == "tna-b" else 1)
     if args.check == "h-bounds":
         failures = _h_bounds_failures(n_max)
         passed = not failures
@@ -387,7 +259,7 @@ def _cmd_s04_extract(args) -> int:
     n = args.n
     low, elem = skein_s04.lowest_q_term_s04(n)
     want_label = skein_s04.S04Label(curves.curve(n, 0))
-    want = skein_s04._single(want_label, 1, "s")
+    want = single(skein_s04.SURFACE, "s", want_label)
     matches = low == -2 * n and elem == want
     if args.json:
         print(

@@ -23,8 +23,8 @@ __all__ = [
     "MappingClass",
     "curve",
     "parse_slope",
+    "parse_power",
     "gcd_decompose",
-    "mcg_apply",
     "intersection_number",
     "IDENTITY",
     "sigma",
@@ -113,6 +113,20 @@ def parse_slope(text: str) -> CurveClass:
     return CurveClass(r, sv)
 
 
+def parse_power(text: str, head: str) -> int | None:
+    """Parse ``head`` or ``head^k`` (k >= 1) into the exponent k; None when
+    the text is not a power of ``head``."""
+    t = text.strip()
+    if t == head:
+        return 1
+    if t.startswith(head + "^"):
+        tail = t[len(head) + 1 :]
+        if tail.isdigit() and int(tail) > 0:
+            return int(tail)
+        raise ValueError(f"bad exponent in {text!r}")
+    return None
+
+
 @dataclass(frozen=True)
 class MappingClass:
     """A mapping class of the torus as a 2x2 integer matrix of determinant 1."""
@@ -162,11 +176,6 @@ IDENTITY = MappingClass(1, 0, 0, 1)
 def sigma() -> MappingClass:
     """The half twist [[1, 1], [0, 1]]: (r, s) -> (r + s, s)."""
     return MappingClass(1, 1, 0, 1)
-
-
-def mcg_apply(m: MappingClass, c: CurveClass) -> CurveClass:
-    """Canonical form of m applied to a slope; preserves the multiplicity."""
-    return m.apply(c)
 
 
 def intersection_number(a: CurveClass, b: CurveClass) -> int:

@@ -11,15 +11,22 @@ every operation returns a new value.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .curves import CurveClass
 from .laurent import Laurent, ZERO, q_power
+from .polyseq import Poly1, PolySeq, expand_in
 
 __all__ = [
     "SkeinElement",
     "NoProductRuleError",
+    "ProductRule",
     "zero",
     "single",
+    "q_pair",
+    "combine",
+    "instantiate",
+    "route",
     "split_by_q_exponent",
 ]
 
@@ -65,18 +72,8 @@ class SkeinElement:
 
     # -- linear structure ------------------------------------------------------
 
-    def _check_compatible(self, other: "SkeinElement"):
-        if self.surface != other.surface:
-            raise ValueError(
-                f"surface mismatch: {self.surface!r} vs {other.surface!r}"
-            )
-        if self.flavor != other.flavor:
-            raise ValueError(
-                f"basis flavor mismatch: {self.flavor!r} vs {other.flavor!r}"
-            )
-
     def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        self._check_compatible(other)
+        _check_compatible(self.surface, self.flavor, other)
         terms = dict(self._terms)
         for label, c in other._terms.items():
             acc = terms.get(label)
@@ -160,12 +157,87 @@ class SkeinElement:
         }
 
 
+def _check_compatible(surface: str, flavor: str, other: SkeinElement):
+    if surface != other.surface:
+        raise ValueError(f"surface mismatch: {surface!r} vs {other.surface!r}")
+    if flavor != other.flavor:
+        raise ValueError(f"basis flavor mismatch: {flavor!r} vs {other.flavor!r}")
+
+
 def zero(surface: str, flavor: str) -> SkeinElement:
     return SkeinElement(surface, flavor)
 
 
 def single(surface: str, flavor: str, label, coeff: Laurent | int = 1) -> SkeinElement:
     return SkeinElement(surface, flavor, [(label, coeff)])
+
+
+def q_pair(surface: str, flavor: str, plus, minus, e: int) -> SkeinElement:
+    """q^e (plus) + q^-e (minus): the two slope terms of a resolution."""
+    return SkeinElement(surface, flavor, [(plus, q_power(e)), (minus, q_power(-e))])
+
+
+def combine(
+    surface: str, flavor: str, parts: Iterable[tuple[SkeinElement, Laurent | int]]
+) -> SkeinElement:
+    """The linear combination of the (element, coefficient) pairs in
+    ``parts``, built in one pass: equal labels merge and zeros drop once, at
+    the end.  Every element must have the given surface and flavor."""
+
+    def terms():
+        for elem, c in parts:
+            _check_compatible(surface, flavor, elem)
+            if isinstance(c, int) and c == 1:
+                # Share the part's coefficients, as ``+`` does: a copy would
+                # double the size of each memoized sum.
+                yield from elem._terms.items()
+                continue
+            c = Laurent.coerce(c)
+            for label, v in elem._terms.items():
+                yield label, c * v
+
+    return SkeinElement(surface, flavor, terms())
+
+
+def instantiate(
+    surface: str, p: Poly1, prim: CurveClass, basis: PolySeq, label: Callable
+) -> SkeinElement:
+    """Read a one-variable polynomial on a primitive curve as an element.
+
+    The degree-k part of p, expanded over the basis sequence, lands on
+    ``label(k * prim)``, and the constant part on ``label(None)``.
+    """
+    terms = [
+        (label(None if k == 0 else prim.scaled(k)), c)
+        for k, c in enumerate(expand_in(p, basis))
+        if not c.is_zero
+    ]
+    return SkeinElement(surface, basis.name, terms)
+
+
+class ProductRule(NamedTuple):
+    """One row of a surface's product table: a proved family of label
+    products, the shape test on the two labels, the rule
+    ``rule(a, b, flavor)`` that computes the product, and the basis flavors
+    the rule holds in."""
+
+    family: str
+    shape: Callable[[object, object], bool]
+    rule: Callable[[object, object, str], SkeinElement]
+    flavors: tuple[str, ...] = ("that",)
+
+
+def route(table, a, b, flavor: str, where: str) -> SkeinElement:
+    """The product a * b by the first row of ``table`` that holds in the
+    flavor and matches the shape of the two labels."""
+    for row in table:
+        if flavor in row.flavors and row.shape(a, b):
+            return row.rule(a, b, flavor)
+    families = "; ".join(row.family for row in table if flavor in row.flavors)
+    raise NoProductRuleError(
+        f"no product rule for {a.text()} * {b.text()} in the {flavor!r} flavor "
+        f"on the {where}; supported: {families}"
+    )
 
 
 def split_by_q_exponent(elem: SkeinElement) -> dict[int, SkeinElement]:
@@ -182,12 +254,3 @@ def split_by_q_exponent(elem: SkeinElement) -> dict[int, SkeinElement]:
         e: SkeinElement(elem.surface, elem.flavor, pairs)
         for e, pairs in buckets.items()
     }
-
-
-def recombine_q_split(
-    surface: str, flavor: str, buckets: dict[int, SkeinElement]
-) -> SkeinElement:
-    acc = zero(surface, flavor)
-    for e, part in buckets.items():
-        acc = acc + part.scaled(q_power(e))
-    return acc

@@ -11,8 +11,7 @@ exact change of basis between normalized sequences, and the partial order
 
 A sequence is *normalized* when P_n is monic of degree n (so P_0 = 1).
 Sequences are generated lazily and memoized; user sequences come from
-explicit coefficient tables and are validated at load time.  Memo tables
-only ever grow, so concurrent readers are safe.
+explicit coefficient tables and are validated at load time.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "CHEB_T",
     "builtin_sequence",
     "chebyshev",
-    "poly_mul",
     "substitute_t",
     "expand_in",
     "expansion_coeffs",
@@ -158,11 +156,6 @@ class Poly1:
 
 
 X = Poly1.monomial(1)
-
-
-def poly_mul(a: Poly1, b: Poly1) -> Poly1:
-    """Exact product of one-variable polynomials."""
-    return a * b
 
 
 class PolySeq:
@@ -386,6 +379,8 @@ def seq_leq(P: PolySeq, Q: PolySeq, n_max: int, *, q1: bool = False) -> SeqLeqRe
     for seq in (P, Q):
         if not seq.normalized:
             raise ValueError(f"sequence {seq.name!r} is not normalized")
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     for n in range(n_max + 1):
         for k, c in enumerate(expand_in(Q.poly(n), P)):
             ok = c.specialize_q1() >= 0 if q1 else c.is_positive()

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .curves import curve
-from .elements import SkeinElement
+from .elements import SkeinElement, combine, single
 from .laurent import Laurent, q_power
 from .polyseq import (
     CHEB_S,
@@ -39,13 +39,11 @@ from .polyseq import (
     SeqLeqResult,
     X,
     expand_in,
-    poly_mul,
     seq_leq,
 )
 from .reports import VERDICT_POSITIVE, VERDICT_VIOLATION, PositivityReport, Witness
 from .skein_s04 import S04Label, mul_tna_b
 from .skein_s04 import SURFACE as S04_SURFACE
-from .skein_s04 import _single as _s04_single
 from .skein_torus import structure_constants, tlabel
 
 __all__ = [
@@ -82,9 +80,6 @@ def perturbed_that(level: int, deltas: tuple[int, ...]) -> PolySeq:
     return PolySeq.from_polys(f"that-pert{level}[{tag}]", polys)
 
 
-_WITNESS_KINDS = ("level-product", "input-product", "base-product", "annulus-1", "annulus-2")
-
-
 def _first_bad(elem: SkeinElement, q1: bool) -> tuple[str, Laurent] | None:
     for label, c in elem.items():
         ok = c.specialize_q1() >= 0 if q1 else c.is_positive()
@@ -115,7 +110,7 @@ def _uniqueness_witnesses(P: PolySeq, level: int, q1: bool):
         if bad is not None:
             yield kind, bad[0], bad[1]
     for kind, (i, j) in (("annulus-1", (1, k - 1)), ("annulus-2", (2, k - 2))):
-        prod = poly_mul(P.poly(i), P.poly(j))
+        prod = P.poly(i) * P.poly(j)
         bad = _first_bad_coeffs(expand_in(prod, P), q1)
         if bad is not None:
             yield kind, bad[0], bad[1]
@@ -249,14 +244,14 @@ def lower_bound_certify(
         raise ValueError("the lower-bound argument runs on the sphere")
     if P.poly(1) != X:
         raise ValueError(f"sequence {P.name!r} does not have P_1 = x")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     witnesses: list[Witness] = []
     for n in range(2, n_max + 1):
         coeffs = expand_in(P.poly(n), THAT)
-        elem = _s04_single(S04Label(curve(0, 1)), coeffs[0], "that")
-        for i in range(1, n + 1):
-            if coeffs[i].is_zero:
-                continue
-            elem = elem + mul_tna_b(i).scaled(coeffs[i])
+        parts = [(single(S04_SURFACE, "that", S04Label(curve(0, 1))), coeffs[0])]
+        parts += [(mul_tna_b(i), coeffs[i]) for i in range(1, n + 1) if not coeffs[i].is_zero]
+        elem = combine(S04_SURFACE, "that", parts)
         for i in range(0, n + 1):
             lab = S04Label(curve(i, 1))
             got = elem.coeff(lab)

@@ -6,15 +6,23 @@ for P_d(primitive) * P_u(U).  No general product formula is implemented:
 only the proved families below are supported, and anything else raises
 ``NoProductRuleError``.
 
-Supported products, all in the normalized type-one flavor:
+Supported products, all in the normalized type-one flavor, are the rows
+of ``PRODUCTS``, tried in order by ``product``:
 
-  * a label whose primitive curve meets a primitive curve once (two-term
-    rule, same shape as the closed-torus product);
+  * products of U-powers, and a U-power against a slope label (U is
+    central);
   * left multiplication of (1,0) against any (n,2) label, which picks up a
     peripheral correction (U + q^2 + q^-2) exactly when n is odd;
   * (n,1) times (0,1), whose peripheral correction is governed by the
     one-variable polynomials G_n computed here both in closed form and by
-    recursion.
+    recursion;
+  * a label whose primitive curve meets a primitive curve once (two-term
+    rule, same shape as the closed-torus product);
+  * (1,0) times (k,0): one-variable multiplication on the (1,0) curve.
+
+U-powers are read in the flavor, so a rule may add the U-powers of its
+factors only when one of them is zero, and a rule whose output carries U
+needs U-free factors.
 
 The lowest-q-exponent extraction rewrites that last product in a caller
 supplied integer-coefficient flavor and groups terms by q-exponent.
@@ -24,9 +32,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import CurveClass, curve, gcd_decompose
-from .elements import NoProductRuleError, SkeinElement, single, zero
-from .laurent import Laurent, ONE, const, q_power
+from .curves import (
+    CurveClass,
+    curve,
+    gcd_decompose,
+    intersection_number,
+    parse_power,
+    parse_slope,
+)
+from .elements import (
+    NoProductRuleError,
+    ProductRule,
+    SkeinElement,
+    combine,
+    instantiate,
+    q_pair,
+    route,
+    single,
+    split_by_q_exponent,
+)
+from .laurent import Laurent, ONE, q_power
 from .polyseq import (
     CHEB_S,
     THAT,
@@ -50,10 +75,13 @@ __all__ = [
     "g_recursive",
     "mul_tn1_t01",
     "mul_by_t10",
+    "PRODUCTS",
+    "product",
     "two_way_expansion",
     "shift_u",
     "convert",
     "upper_bound_extract",
+    "label_from_text",
     "element_from_json",
 ]
 
@@ -99,10 +127,6 @@ def plabel(r: int | None = None, s: int | None = None, u: int = 0) -> PTorusLabe
     return PTorusLabel(slope, u)
 
 
-def _single(label: PTorusLabel, coeff=1, flavor: str = "that") -> SkeinElement:
-    return single(SURFACE, flavor, label, coeff)
-
-
 def parity_indicator(n: int) -> int:
     """1 for odd n, 0 for even n: whether the peripheral correction fires."""
     return n & 1
@@ -115,21 +139,9 @@ def shift_u(elem: SkeinElement, k: int) -> SkeinElement:
     return elem.map_labels(lambda lab: PTorusLabel(lab.slope, lab.u + k))
 
 
-def _instantiate(
-    p: Poly1, prim: CurveClass, *, u: int = 0, basis: PolySeq = THAT
-) -> SkeinElement:
-    """Read a one-variable polynomial on a primitive curve as an element.
-
-    The degree-k part of p, expanded over the basis sequence, lands on the
-    label k * prim (empty slope for k = 0) with the given U-power.
-    """
-    terms = []
-    for k, ck in enumerate(expand_in(p, basis)):
-        if ck.is_zero:
-            continue
-        slope = None if k == 0 else prim.scaled(k)
-        terms.append((PTorusLabel(slope, u), ck))
-    return SkeinElement(SURFACE, basis.name, terms)
+def _on_curve(p: Poly1, prim: CurveClass, u: int = 0) -> SkeinElement:
+    """p read in the type-one flavor on a primitive curve, with U-power u."""
+    return instantiate(SURFACE, p, prim, THAT, lambda slope: PTorusLabel(slope, u))
 
 
 def mul_once(a: PTorusLabel, b: CurveClass) -> SkeinElement:
@@ -151,14 +163,8 @@ def mul_once(a: PTorusLabel, b: CurveClass) -> SkeinElement:
             f"curves {a.slope.primitive().text()} and {b.text()} do not "
             f"intersect once (|{r}*{v} - {s}*{u}| = {abs(D)}, need {d})"
         )
-    return SkeinElement(
-        SURFACE,
-        "that",
-        [
-            (PTorusLabel(curve(r + u, s + v), a.u), q_power(D)),
-            (PTorusLabel(curve(r - u, s - v), a.u), q_power(-D)),
-        ],
-    )
+    plus, minus = curve(r + u, s + v), curve(r - u, s - v)
+    return q_pair(SURFACE, "that", PTorusLabel(plus, a.u), PTorusLabel(minus, a.u), D)
 
 
 def mul_t10_tn2(n: int) -> SkeinElement:
@@ -186,10 +192,13 @@ def g_closed(n: int) -> Poly1:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    acc = Poly1()
-    for i in range(1, n // 2 + 1):
-        acc = acc + CHEB_S.poly(n - 2 * i).scaled(q_power(4 * i - n - 2))
-    return acc
+    return sum(
+        (
+            CHEB_S.poly(n - 2 * i).scaled(q_power(4 * i - n - 2))
+            for i in range(1, n // 2 + 1)
+        ),
+        Poly1(),
+    )
 
 
 def g_recursive(n: int) -> Poly1:
@@ -222,54 +231,102 @@ def mul_tn1_t01(n: int) -> SkeinElement:
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
-        return _instantiate(X * X, curve(0, 1))
-    acc = SkeinElement(
+        return _on_curve(X * X, curve(0, 1))
+    slopes = q_pair(SURFACE, "that", PTorusLabel(curve(n, 2)), PTorusLabel(curve(n, 0)), n)
+    g = g_closed(n)
+    a_curve = curve(1, 0)
+    return combine(
         SURFACE,
         "that",
         [
-            (PTorusLabel(curve(n, 2), 0), q_power(n)),
-            (PTorusLabel(curve(n, 0), 0), q_power(-n)),
+            (slopes, 1),
+            (_on_curve(g, a_curve, u=1), 1),
+            (_on_curve(g, a_curve), q_power(2) + q_power(-2)),
         ],
     )
-    g = g_closed(n)
-    if not g.is_zero:
-        a_curve = curve(1, 0)
-        acc = acc + _instantiate(g, a_curve, u=1)
-        acc = acc + _instantiate(g, a_curve).scaled(q_power(2) + q_power(-2))
-    return acc
+
+
+def _is_slope(label: PTorusLabel, s: int) -> bool:
+    return label.slope is not None and label.slope.s == s
+
+
+def _one_u(a: PTorusLabel, b: PTorusLabel) -> bool:
+    """At most one factor carries U, so U-powers may be added."""
+    return not (a.u and b.u)
+
+
+def _meets_once(a: PTorusLabel, b: PTorusLabel) -> bool:
+    return (
+        a.slope is not None
+        and b.slope is not None
+        and b.slope.is_primitive
+        and intersection_number(a.slope.primitive(), b.slope) == 1
+        and _one_u(a, b)
+    )
+
+
+T10 = PTorusLabel(curve(1, 0))
+T01 = PTorusLabel(curve(0, 1))
+
+# Rules are called through module names so that rebinding a rule (as a
+# tracer does) reaches every row.  Earlier rows win where shapes overlap.
+PRODUCTS = (
+    ProductRule(
+        "U^j * U^k",
+        lambda a, b: a.slope is None and b.slope is None,
+        lambda a, b, flavor: SkeinElement(
+            SURFACE,
+            "that",
+            [
+                (PTorusLabel(None, j), c)
+                for j, c in enumerate(expand_in(THAT.poly(a.u) * THAT.poly(b.u), THAT))
+            ],
+        ),
+    ),
+    ProductRule(
+        "U^k * (r,s) and (r,s) * U^k",
+        lambda a, b: (a.slope is None or b.slope is None) and _one_u(a, b),
+        lambda a, b, flavor: single(
+            SURFACE, "that", PTorusLabel(a.slope or b.slope, a.u + b.u)
+        ),
+    ),
+    ProductRule(
+        "(1,0) * (n,2)",
+        lambda a, b: a == T10 and _is_slope(b, 2) and b.u == 0,
+        lambda a, b, flavor: mul_t10_tn2(b.slope.r),
+    ),
+    ProductRule(
+        "(n,1) * (0,1) for n >= 0",
+        lambda a, b: _is_slope(a, 1) and a.slope.r >= 0 and a.u == 0 and b == T01,
+        lambda a, b, flavor: mul_tn1_t01(a.slope.r),
+    ),
+    ProductRule(
+        "(r,s) * (u,v) meeting once",
+        _meets_once,
+        lambda a, b, flavor: shift_u(mul_once(a, b.slope), b.u),
+    ),
+    ProductRule(
+        "(1,0) * (k,0)",
+        lambda a, b: a.slope == T10.slope and _is_slope(b, 0) and _one_u(a, b),
+        lambda a, b, flavor: _on_curve(X * THAT.poly(b.slope.d), T10.slope, a.u + b.u),
+    ),
+)
+
+
+def product(a: PTorusLabel, b: PTorusLabel) -> SkeinElement:
+    """The product of two labels, by the first row of ``PRODUCTS`` that
+    matches them; ``NoProductRuleError`` when none does."""
+    return route(PRODUCTS, a, b, "that", "punctured torus")
 
 
 def mul_by_t10(elem: SkeinElement) -> SkeinElement:
-    """Left-multiply an element by the (1,0) label, term by term.
-
-    Covers exactly the label shapes reachable from the supported products:
-    empty slopes, (k,0) powers of the (1,0) curve itself, (m,1) curves, and
-    U-free (m,2) labels.
-    """
+    """Left-multiply a type-one-flavor element by the (1,0) label, term by
+    term through ``product``."""
     if elem.surface != SURFACE or elem.flavor != "that":
         raise ValueError("mul_by_t10 expects a 'that'-flavor element")
-    a_curve = curve(1, 0)
-    acc = zero(SURFACE, "that")
-    for label, c in elem.items():
-        if label.slope is None:
-            out = _single(PTorusLabel(a_curve, label.u))
-        elif label.slope.s == 0:
-            k = label.slope.d
-            out = _instantiate(X * THAT.poly(k), a_curve, u=label.u)
-        elif label.slope.s == 1:
-            out = shift_u(mul_once(PTorusLabel(a_curve, 0), label.slope), label.u)
-        elif label.slope.s == 2:
-            if label.u:
-                raise NoProductRuleError(
-                    "no rule for (1,0) against a peripheral-dressed (n,2) label"
-                )
-            out = mul_t10_tn2(label.slope.r)
-        else:
-            raise NoProductRuleError(
-                f"no rule for (1,0) against label {label.text()}"
-            )
-        acc = acc + out.scaled(c)
-    return acc
+    return combine(
+        SURFACE, "that", ((product(T10, label), c) for label, c in elem.items())
+    )
 
 
 def two_way_expansion(n: int) -> tuple[SkeinElement, SkeinElement]:
@@ -334,8 +391,6 @@ def upper_bound_extract(P: PolySeq, n: int) -> tuple[int, SkeinElement]:
     the two input labels mean the curves themselves.  The result element
     carries integer coefficients (one q-layer of the product).
     """
-    from .elements import split_by_q_exponent
-
     if P.poly(1) != X:
         raise ValueError(f"sequence {P.name!r} does not have P_1 = x")
     for k in range(n + 1):
@@ -351,9 +406,18 @@ def upper_bound_extract(P: PolySeq, n: int) -> tuple[int, SkeinElement]:
     return low, buckets[low]
 
 
-def label_from_json(obj: dict) -> PTorusLabel:
-    from .curves import parse_slope
+def label_from_text(text: str) -> PTorusLabel:
+    """Parse ``T(r,s)``, ``U`` or ``U^k`` (k >= 1)."""
+    u = parse_power(text, "U")
+    if u is not None:
+        return PTorusLabel(None, u)
+    t = text.strip()
+    if not t.startswith("T"):
+        raise ValueError(f"expected a label of the form T(r,s), got {text!r}")
+    return PTorusLabel(parse_slope(t[1:]))
 
+
+def label_from_json(obj: dict) -> PTorusLabel:
     slope = obj.get("slope")
     return PTorusLabel(
         None if slope is None else parse_slope(slope), int(obj.get("u", 0))

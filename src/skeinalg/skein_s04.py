@@ -8,8 +8,11 @@ peripheral curves are central and generate a polynomial subalgebra, slope
 labels dressed with peripheral monomials still form a free module basis,
 and all identities below are exact in it.
 
-Two families of rules are implemented, and nothing else (unsupported
-pairs raise ``NoProductRuleError``):
+Two families of rules are implemented, and nothing else.  ``product``
+multiplies two labels by the first matching row of ``PRODUCTS``; unsupported
+pairs raise ``NoProductRuleError``.  Since the peripheral exponents are
+plain monomial powers, every row carries the exponents of its factors into
+its output.
 
   * type-one flavor: the resolution of the (1,0) curve against (n,1)
     produces two shifted terms plus a parity-dependent peripheral constant
@@ -30,10 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .curves import CurveClass, curve, gcd_decompose, sigma
-from .elements import NoProductRuleError, SkeinElement, single, split_by_q_exponent, zero
+from .curves import CurveClass, curve, parse_power, parse_slope, sigma
+from .elements import (
+    ProductRule,
+    SkeinElement,
+    combine,
+    instantiate,
+    q_pair,
+    route,
+    single,
+    split_by_q_exponent,
+    zero,
+)
 from .laurent import Laurent, ONE, const, q_power, quantum_int
-from .polyseq import CHEB_S, THAT, Poly1, PolySeq, X, expand_in
+from .polyseq import CHEB_S, X, builtin_sequence
 
 __all__ = [
     "SURFACE",
@@ -52,10 +65,13 @@ __all__ = [
     "mul_by_s10",
     "g_s04_closed",
     "mul_sn1_s01",
+    "PRODUCTS",
+    "product",
     "lowest_q_term_s04",
     "h_part",
     "ForcingReport",
     "p1_forcing_witness",
+    "operand_from_text",
     "element_from_json",
 ]
 
@@ -107,12 +123,8 @@ def slabel(
     return S04Label(slope, g)
 
 
-def _single(label: S04Label, coeff=1, flavor: str = "s") -> SkeinElement:
-    return single(SURFACE, flavor, label, coeff)
-
-
-def _gamma(*exps: int, flavor: str = "s") -> SkeinElement:
-    return _single(S04Label(None, tuple(exps)), 1, flavor)
+def _add_g(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(g, h))
 
 
 def c_element(n: int, flavor: str = "s") -> SkeinElement:
@@ -168,26 +180,17 @@ def _mul_central(elem: SkeinElement, central: SkeinElement) -> SkeinElement:
         for cen, cc in central.items():
             if cen.slope is not None:
                 raise ValueError("central factor must have no slope component")
-            g = tuple(a + b for a, b in zip(lab.g, cen.g))
-            terms.append((S04Label(lab.slope, g), c * cc))
+            terms.append((S04Label(lab.slope, _add_g(lab.g, cen.g)), c * cc))
     return SkeinElement(SURFACE, elem.flavor, terms)
 
 
-def _instantiate(
-    p: Poly1,
-    prim: CurveClass,
-    *,
-    basis: PolySeq,
-    flavor: str,
-    g: tuple[int, int, int, int] = _G0,
-) -> SkeinElement:
-    terms = []
-    for k, ck in enumerate(expand_in(p, basis)):
-        if ck.is_zero:
-            continue
-        slope = None if k == 0 else prim.scaled(k)
-        terms.append((S04Label(slope, g), ck))
-    return SkeinElement(SURFACE, flavor, terms)
+def _pair(flavor: str, plus: CurveClass, minus: CurveClass, e: int) -> SkeinElement:
+    return q_pair(SURFACE, flavor, S04Label(plus), S04Label(minus), e)
+
+
+def _c_times(slope: CurveClass | None, n: int, flavor: str = "s") -> SkeinElement:
+    """The peripheral constant c_n times the label of one slope."""
+    return _mul_central(single(SURFACE, flavor, S04Label(slope)), c_element(n, flavor))
 
 
 # -- the (1,0)-against-(n,1) family (type-one flavor) -------------------------
@@ -202,15 +205,7 @@ def mul_a_bn(n: int, flavor: str = "that") -> SkeinElement:
     the identity reads the same in any normalized flavor; ``flavor`` only
     tags the output.
     """
-    acc = SkeinElement(
-        SURFACE,
-        flavor,
-        [
-            (S04Label(curve(n + 1, 1)), q_power(2)),
-            (S04Label(curve(n - 1, 1)), q_power(-2)),
-        ],
-    )
-    return acc + c_element(n, flavor)
+    return _pair(flavor, curve(n + 1, 1), curve(n - 1, 1), 2) + c_element(n, flavor)
 
 
 def mul_tna_b(n: int) -> SkeinElement:
@@ -224,56 +219,12 @@ def mul_tna_b(n: int) -> SkeinElement:
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
-        return _single(S04Label(curve(0, 1)), 2, "that")
-    acc = SkeinElement(
-        SURFACE,
-        "that",
-        [
-            (S04Label(curve(n, 1)), q_power(2 * n)),
-            (S04Label(curve(-n, 1)), q_power(-2 * n)),
-        ],
-    )
+        return single(SURFACE, "that", S04Label(curve(0, 1)), 2)
+    parts = [(_pair("that", curve(n, 1), curve(-n, 1), 2 * n), 1)]
     for i in range(1, n + 1):
-        qi = quantum_int(i)
-        k = n - i
-        slope = None if k == 0 else curve(k, 0)
-        part = SkeinElement(SURFACE, "that", [(S04Label(slope), qi)])
-        cn = c_element(0 if i % 2 else 1, "that")
-        acc = acc + _mul_central(part, cn)
-    return acc
-
-
-def mul_by_a(elem: SkeinElement) -> SkeinElement:
-    """Left-multiply a type-one-flavor element by the (1,0) label.
-
-    Handles empty slopes, powers of the (1,0) curve, and (k,1) curves;
-    peripheral monomials ride along.
-    """
-    if elem.surface != SURFACE or elem.flavor != "that":
-        raise ValueError("mul_by_a expects a 'that'-flavor element")
-    a_curve = curve(1, 0)
-    acc = zero(SURFACE, "that")
-    for label, c in elem.items():
-        if label.slope is None:
-            out = _single(S04Label(a_curve, label.g), 1, "that")
-        elif label.slope.s == 0:
-            k = label.slope.d
-            out = _instantiate(
-                X * THAT.poly(k), a_curve, basis=THAT, flavor="that", g=label.g
-            )
-        elif label.slope.s == 1:
-            base = mul_a_bn(label.slope.r, "that")
-            out = base.map_labels(
-                lambda lab: S04Label(
-                    lab.slope, tuple(a + b for a, b in zip(lab.g, label.g))
-                )
-            )
-        else:
-            raise NoProductRuleError(
-                f"no rule for (1,0) against label {label.text()}"
-            )
-        acc = acc + out.scaled(c)
-    return acc
+        power = None if i == n else curve(n - i, 0)
+        parts.append((_c_times(power, 0 if i % 2 else 1, "that"), quantum_int(i)))
+    return combine(SURFACE, "that", parts)
 
 
 # -- the type-two tower on (n,1)*(0,1) ----------------------------------------
@@ -285,7 +236,7 @@ def tna_b_by_recurrence(n: int) -> SkeinElement:
     never touching the closed form."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    prev = _single(S04Label(curve(0, 1)), 2, "that")
+    prev = single(SURFACE, "that", S04Label(curve(0, 1)), 2)
     if n == 0:
         return prev
     cur = mul_a_bn(0, "that")
@@ -303,84 +254,21 @@ def mul_s10_sm2(m: int) -> SkeinElement:
     twist transport of the two base cases m = 0, 1, which fixes the
     constant blocks and steps the c-parity with k.
     """
+    k = m // 2
+    parts = [(_pair("s", curve(m + 1, 2), curve(m - 1, 2), 4), 1)]
     if m % 2 == 0:
-        k = m // 2
-        acc = SkeinElement(
-            SURFACE,
-            "s",
-            [
-                (S04Label(curve(m + 1, 2)), q_power(4)),
-                (S04Label(curve(m - 1, 2)), q_power(-4)),
-            ],
-        )
-        ck = _mul_central(_single(S04Label(curve(k, 1)), 1, "s"), c_element(k, "s"))
-        bracket = _single(S04Label(curve(1, 0)), 1, "s") + gamma_pair_ab("s").scaled(
-            q_power(2) + q_power(-2)
-        )
-        return acc + ck + bracket
-    k = (m - 1) // 2
-    acc = SkeinElement(
-        SURFACE,
-        "s",
-        [
-            (S04Label(curve(m + 1, 2)), q_power(4)),
-            (S04Label(curve(m - 1, 2)), q_power(-4)),
-        ],
-    )
-    term1 = _mul_central(
-        _single(S04Label(curve(k + 1, 1)), q_power(2), "s"), c_element(k, "s")
-    )
-    term2 = _mul_central(
-        _single(S04Label(curve(k, 1)), q_power(-2), "s"), c_element(k + 1, "s")
-    )
-    return acc + term1 + term2 + gamma_quad("s")
-
-
-def mul_by_s10(elem: SkeinElement) -> SkeinElement:
-    """Left-multiply a type-two-flavor element by the (1,0) label.
-
-    Supports empty slopes, (k,0) powers of (1,0) itself (one-variable
-    type-two multiplication), (k,1) curves, and (m,2) labels; peripheral
-    monomials are central and ride along.
-    """
-    if elem.surface != SURFACE or elem.flavor != "s":
-        raise ValueError("mul_by_s10 expects an 's'-flavor element")
-    a_curve = curve(1, 0)
-    acc = zero(SURFACE, "s")
-    for label, c in elem.items():
-        g = label.g
-        if label.slope is None:
-            out = _single(S04Label(a_curve, g), 1, "s")
-        elif label.slope.s == 0:
-            k = label.slope.d
-            out = _instantiate(
-                X * CHEB_S.poly(k), a_curve, basis=CHEB_S, flavor="s", g=g
-            )
-        elif label.slope.s == 1:
-            r = label.slope.r
-            out = SkeinElement(
-                SURFACE,
-                "s",
-                [
-                    (S04Label(curve(r + 1, 1), g), q_power(2)),
-                    (S04Label(curve(r - 1, 1), g), q_power(-2)),
-                ],
-            )
-            out = out + _mul_central(
-                _single(S04Label(None, g), 1, "s"), c_element(r, "s")
-            )
-        elif label.slope.s == 2:
-            out = mul_s10_sm2(label.slope.r).map_labels(
-                lambda lab: S04Label(
-                    lab.slope, tuple(a + b for a, b in zip(lab.g, g))
-                )
-            )
-        else:
-            raise NoProductRuleError(
-                f"no rule for (1,0) against label {label.text()}"
-            )
-        acc = acc + out.scaled(c)
-    return acc
+        parts += [
+            (_c_times(curve(k, 1), k), 1),
+            (single(SURFACE, "s", S04Label(curve(1, 0))), 1),
+            (gamma_pair_ab("s"), q_power(2) + q_power(-2)),
+        ]
+    else:
+        parts += [
+            (_c_times(curve(k + 1, 1), k), q_power(2)),
+            (_c_times(curve(k, 1), k + 1), q_power(-2)),
+            (gamma_quad("s"), 1),
+        ]
+    return combine(SURFACE, "s", parts)
 
 
 def g_s04_closed(n: int) -> SkeinElement:
@@ -393,14 +281,15 @@ def g_s04_closed(n: int) -> SkeinElement:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    acc = zero(SURFACE, "s")
-    for i in range(1, n // 2 + 1):
-        for j in range(i, n - i + 1):
-            acc = acc + _mul_central(
-                _single(S04Label(curve(j, 1)), q_power(4 * i - 2), "s"),
-                c_element(n - j + 1, "s"),
-            )
-    return acc
+    return combine(
+        SURFACE,
+        "s",
+        (
+            (_c_times(curve(j, 1), n - j + 1), q_power(4 * i - 2))
+            for i in range(1, n // 2 + 1)
+            for j in range(i, n - i + 1)
+        ),
+    )
 
 
 _SN1_CACHE: dict[int, tuple[SkeinElement, SkeinElement]] = {}
@@ -418,43 +307,33 @@ def mul_sn1_s01(n: int) -> tuple[SkeinElement, SkeinElement]:
     two-crossing resolution at n = 1; higher n comes from the recursion
 
         full(n) = q^-2 (1,0)*full(n-1) - q^-4 full(n-2) - q^-2 c_(n-1)*(0,1).
+
+    The memo is filled upward from its highest index, so large n costs no
+    call depth.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n in _SN1_CACHE:
-        return _SN1_CACHE[n]
-    if n == 0:
-        full = _instantiate(X * X, curve(0, 1), basis=CHEB_S, flavor="s")
-        h = zero(SURFACE, "s")
-    elif n == 1:
-        full = SkeinElement(
-            SURFACE,
-            "s",
-            [
-                (S04Label(curve(1, 2)), q_power(2)),
-                (S04Label(curve(1, 0)), q_power(-2)),
-            ],
-        ) + gamma_pair_ab("s")
-        h = gamma_pair_ab("s")
-    else:
-        prev, _ = mul_sn1_s01(n - 1)
-        prev2, _ = mul_sn1_s01(n - 2)
-        full = (
-            mul_by_s10(prev).scaled(q_power(-2))
-            - prev2.scaled(q_power(-4))
-            - _mul_central(
-                _single(S04Label(curve(0, 1)), q_power(-2), "s"),
-                c_element(n - 1, "s"),
+    for m in range(len(_SN1_CACHE), n + 1):
+        if m == 0:
+            full = instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04Label)
+            _SN1_CACHE[0] = (full, zero(SURFACE, "s"))
+            continue
+        if m == 1:
+            full = _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab("s")
+        else:
+            full = combine(
+                SURFACE,
+                "s",
+                [
+                    (mul_by_s10(_SN1_CACHE[m - 1][0]), q_power(-2)),
+                    (_SN1_CACHE[m - 2][0], -q_power(-4)),
+                    (_c_times(curve(0, 1), m - 1), -q_power(-2)),
+                ],
             )
-        )
-        h = (
-            full
-            - _single(S04Label(curve(n, 2)), q_power(2 * n), "s")
-            - _single(S04Label(curve(n, 0)), q_power(-2 * n), "s")
-            - g_s04_closed(n)
-        )
-    _SN1_CACHE[n] = (full, h)
-    return full, h
+        leading = _pair("s", curve(m, 2), curve(m, 0), 2 * m)
+        h = combine(SURFACE, "s", [(full, 1), (leading, -1), (g_s04_closed(m), -1)])
+        _SN1_CACHE[m] = (full, h)
+    return _SN1_CACHE[n]
 
 
 def h_part(n: int) -> SkeinElement:
@@ -470,6 +349,107 @@ def lowest_q_term_s04(n: int) -> tuple[int, SkeinElement]:
     buckets = split_by_q_exponent(full)
     low = min(buckets)
     return low, buckets[low]
+
+
+# -- the product table ---------------------------------------------------------
+
+
+def _is_slope(label: S04Label, s: int) -> bool:
+    return label.slope is not None and label.slope.s == s
+
+
+def _dressed(elem: SkeinElement, a: S04Label, b: S04Label) -> SkeinElement:
+    """elem times the peripheral monomials of the labels a and b."""
+    g = _add_g(a.g, b.g)
+    if g == _G0:
+        return elem
+    return _mul_central(elem, single(SURFACE, elem.flavor, S04Label(None, g)))
+
+
+def _times_power_of_10(k: int, flavor: str, g: tuple[int, ...]) -> SkeinElement:
+    """(1,0) times the degree-k entry of the flavor's sequence on (1,0),
+    by one-variable multiplication; every label carries the exponents g."""
+    seq = builtin_sequence(flavor)
+    return instantiate(
+        SURFACE, X * seq.poly(k), curve(1, 0), seq, lambda slope: S04Label(slope, g)
+    )
+
+
+S10 = S04Label(curve(1, 0))
+S01 = S04Label(curve(0, 1))
+_BOTH = ("s", "that")
+
+# Rules are called through module names so that rebinding a rule (as a
+# tracer does) reaches every row.  Earlier rows win where shapes overlap:
+# (1,0)*(0,1) in the type-one flavor must take the (1,0)*(n,1) row, so that
+# ``tna_b_by_recurrence`` never reaches ``mul_tna_b``, the closed form it
+# checks.
+PRODUCTS = (
+    ProductRule(
+        "gi^k * label and label * gi^k",
+        lambda a, b: a.slope is None or b.slope is None,
+        lambda a, b, flavor: single(
+            SURFACE, flavor, S04Label(a.slope or b.slope, _add_g(a.g, b.g))
+        ),
+        _BOTH,
+    ),
+    ProductRule(
+        "(1,0) * (m,2)",
+        lambda a, b: a.slope == S10.slope and _is_slope(b, 2),
+        lambda a, b, flavor: _dressed(mul_s10_sm2(b.slope.r), a, b),
+        ("s",),
+    ),
+    ProductRule(
+        "(1,0) * (n,1)",
+        lambda a, b: a.slope == S10.slope and _is_slope(b, 1),
+        lambda a, b, flavor: _dressed(mul_a_bn(b.slope.r, flavor), a, b),
+        _BOTH,
+    ),
+    ProductRule(
+        "(1,0) * (k,0)",
+        lambda a, b: a.slope == S10.slope and _is_slope(b, 0),
+        lambda a, b, flavor: _times_power_of_10(b.slope.d, flavor, _add_g(a.g, b.g)),
+        _BOTH,
+    ),
+    ProductRule(
+        "(n,1) * (0,1) for n >= 0",
+        lambda a, b: _is_slope(a, 1) and a.slope.r >= 0 and b.slope == S01.slope,
+        lambda a, b, flavor: _dressed(mul_sn1_s01(a.slope.r)[0], a, b),
+        ("s",),
+    ),
+    ProductRule(
+        "(n,0) * (0,1)",
+        lambda a, b: _is_slope(a, 0) and b.slope == S01.slope,
+        lambda a, b, flavor: _dressed(mul_tna_b(a.slope.r), a, b),
+    ),
+)
+
+
+def product(a: S04Label, b: S04Label, flavor: str = "s") -> SkeinElement:
+    """The product of two labels read in ``flavor`` ('s' or 'that'), by the
+    first row of ``PRODUCTS`` that matches them; ``NoProductRuleError``
+    when none does."""
+    return route(PRODUCTS, a, b, flavor, "sphere")
+
+
+def _mul_by_10(elem: SkeinElement, flavor: str, name: str) -> SkeinElement:
+    if elem.surface != SURFACE or elem.flavor != flavor:
+        raise ValueError(f"{name} expects a {flavor!r}-flavor element")
+    return combine(
+        SURFACE, flavor, ((product(S10, label, flavor), c) for label, c in elem.items())
+    )
+
+
+def mul_by_a(elem: SkeinElement) -> SkeinElement:
+    """Left-multiply a type-one-flavor element by the (1,0) label, term by
+    term through ``product``."""
+    return _mul_by_10(elem, "that", "mul_by_a")
+
+
+def mul_by_s10(elem: SkeinElement) -> SkeinElement:
+    """Left-multiply a type-two-flavor element by the (1,0) label, term by
+    term through ``product``."""
+    return _mul_by_10(elem, "s", "mul_by_s10")
 
 
 # -- forcing the linear entry of a positive sequence ---------------------------
@@ -555,8 +535,8 @@ def p1_forcing_witness(delta: int) -> ForcingReport:
     b_lab = S04Label(curve(0, 1))
     # (curve a + delta)(curve b + delta), written over plain multicurves.
     raw = mul_a_bn(0, flavor)
-    raw = raw + _single(a_lab, delta, flavor) + _single(b_lab, delta, flavor)
-    raw = raw + _single(S04_EMPTY, delta * delta, flavor)
+    raw = raw + single(SURFACE, flavor, a_lab, delta) + single(SURFACE, flavor, b_lab, delta)
+    raw = raw + single(SURFACE, flavor, S04_EMPTY, delta * delta)
     # Rewrite each multicurve over the perturbed basis: a component c is
     # the basis factor minus delta, so a product over components expands by
     # inclusion-exclusion over the components dropped.
@@ -586,9 +566,25 @@ def p1_forcing_witness(delta: int) -> ForcingReport:
     )
 
 
-def label_from_json(obj: dict) -> S04Label:
-    from .curves import parse_slope
+_LETTER_FLAVORS = {"S": "s", "T": "that"}
 
+
+def operand_from_text(text: str) -> tuple[str | None, S04Label]:
+    """Parse ``S(r,s)`` or ``T(r,s)`` into (flavor, label), and ``gi`` or
+    ``gi^k`` (i in 1..4, k >= 1) into (None, peripheral monomial)."""
+    t = text.strip()
+    if t[:1] == "g" and t[1:2] in ("1", "2", "3", "4"):
+        k = parse_power(t, t[:2])
+        if k is not None:
+            g = [0, 0, 0, 0]
+            g[int(t[1]) - 1] = k
+            return None, S04Label(None, tuple(g))
+    if t[:1] in _LETTER_FLAVORS:
+        return _LETTER_FLAVORS[t[0]], S04Label(parse_slope(t[1:]))
+    raise ValueError(f"expected a label of the form T(r,s) or S(r,s), got {text!r}")
+
+
+def label_from_json(obj: dict) -> S04Label:
     slope = obj.get("slope")
     g = obj.get("g", [0, 0, 0, 0])
     return S04Label(

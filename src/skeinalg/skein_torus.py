@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurveClass, MappingClass, curve, gcd_decompose, parse_slope
-from .elements import SkeinElement, single, zero
-from .laurent import Laurent, ONE, const, q_power
+from .elements import SkeinElement, combine, single
+from .laurent import Laurent, q_power
 from .polyseq import THAT, PolySeq, builtin_sequence, expansion_coeffs
 from .reports import (
     VERDICT_POSITIVE,
@@ -71,16 +71,12 @@ def tlabel(r: int, s: int) -> TorusLabel:
     return TorusLabel(curve(r, s))
 
 
-def _single(label: TorusLabel, coeff=1, flavor: str = "that") -> SkeinElement:
-    return single(SURFACE, flavor, label, coeff)
-
-
 def fg_mul(a: TorusLabel, b: TorusLabel) -> SkeinElement:
     """Product of two labels in the normalized type-one flavor."""
     if a.slope is None:
-        return _single(b)
+        return single(SURFACE, "that", b)
     if b.slope is None:
-        return _single(a)
+        return single(SURFACE, "that", a)
     r, s = a.slope.r, a.slope.s
     u, v = b.slope.r, b.slope.s
     D = r * v - u * s
@@ -102,11 +98,11 @@ def mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
         raise ValueError(
             "torus products are computed in the 'that' flavor; convert first"
         )
-    acc = zero(SURFACE, "that")
-    for la, ca in x.items():
-        for lb, cb in y.items():
-            acc = acc + fg_mul(la, lb).scaled(ca * cb)
-    return acc
+    return combine(
+        SURFACE,
+        "that",
+        ((fg_mul(la, lb), ca * cb) for la, ca in x.items() for lb, cb in y.items()),
+    )
 
 
 def convert(
@@ -145,8 +141,8 @@ def convert(
 
 def structure_constants(P: PolySeq, a: TorusLabel, b: TorusLabel) -> SkeinElement:
     """The product of two basis labels read and returned in flavor P."""
-    ea = convert(_single(a, flavor=P.name), THAT, P)
-    eb = convert(_single(b, flavor=P.name), THAT, P)
+    ea = convert(single(SURFACE, P.name, a), THAT, P)
+    eb = convert(single(SURFACE, P.name, b), THAT, P)
     return convert(mul(ea, eb), P, THAT)
 
 
@@ -171,7 +167,7 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
         raise ValueError("bound must be at least 1")
     labels = [TorusLabel(c) for c in canonical_slopes(bound)]
     that_forms = {
-        lab: convert(_single(lab, flavor=P.name), THAT, P) for lab in labels
+        lab: convert(single(SURFACE, P.name, lab), THAT, P) for lab in labels
     }
     witnesses: list[Witness] = []
     for a in labels:

@@ -257,3 +257,24 @@ def test_usage_errors_exit_1():
 
 def test_help_exits_0():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ptor", "verify", "g-closed", "--n-max", "-5"],
+        ["ptor", "verify", "consistency", "--n-max", "1"],
+        ["s04", "verify", "sigma", "--n-max", "0"],
+        ["s04", "verify", "h-bounds", "--n-max", "0"],
+        ["s04", "verify", "tna-b", "--n-max", "-1"],
+        ["order", "leq", "that", "s", "--n-max", "-1"],
+        ["certify", "sandwich", "--seq", "s", "--n-max", "-1"],
+    ],
+)
+def test_empty_range_is_an_error(capsys, argv):
+    # A check over no indices would pass vacuously.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -10,7 +10,6 @@ from skeinalg.curves import (
     curve,
     gcd_decompose,
     intersection_number,
-    mcg_apply,
     parse_slope,
     sigma,
 )
@@ -46,14 +45,14 @@ def test_sigma_orbit():
     m = sigma()
     got = b
     for n in range(1, 8):
-        got = mcg_apply(m, got)
+        got = m.apply(got)
         assert got == curve(n, 1)
 
 
 def test_identity_and_rotation():
-    assert mcg_apply(IDENTITY, curve(5, -3)) == curve(5, -3)
+    assert IDENTITY.apply(curve(5, -3)) == curve(5, -3)
     rot = MappingClass(0, -1, 1, 0)
-    assert mcg_apply(rot, curve(1, 0)) == curve(0, 1)
+    assert rot.apply(curve(1, 0)) == curve(0, 1)
 
 
 def test_mapping_class_determinant_checked():
@@ -86,11 +85,11 @@ def test_mcg_preserves_multiplicity_and_intersections():
         if (r, s) == (0, 0):
             continue
         c = curve(r, s)
-        assert mcg_apply(m, c).d == c.d
+        assert m.apply(c).d == c.d
         a = curve(rng.choice([1, 2, 3]), rng.choice([0, 1, 5]))
         b = curve(rng.choice([0, 1, -2]), 1)
         a, b = a.primitive(), b.primitive()
-        assert intersection_number(mcg_apply(m, a), mcg_apply(m, b)) == (
+        assert intersection_number(m.apply(a), m.apply(b)) == (
             intersection_number(a, b)
         )
 

@@ -16,7 +16,6 @@ from skeinalg.polyseq import (
     chebyshev,
     expand_in,
     parse_sequence_table,
-    poly_mul,
     seq_leq,
     substitute_t,
 )
@@ -95,14 +94,14 @@ def test_expand_in_rejects_unnormalized_basis():
 
 
 def test_poly_mul():
-    assert poly_mul(X, X) == Poly1.monomial(2)
-    assert expand_in(poly_mul(THAT.poly(1), THAT.poly(1)), THAT) == [
+    assert X * X == Poly1.monomial(2)
+    assert expand_in(THAT.poly(1) * THAT.poly(1), THAT) == [
         const(2),
         ZERO,
         ONE,
     ]
     p = Poly1([parse_laurent("q^2"), ONE])
-    assert poly_mul(p, Poly1([1])) == p
+    assert p * Poly1([1]) == p
 
 
 def test_seq_leq_examples():

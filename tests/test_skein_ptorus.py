@@ -4,7 +4,6 @@ from skeinalg.curves import curve
 from skeinalg.elements import (
     NoProductRuleError,
     SkeinElement,
-    recombine_q_split,
     single,
     split_by_q_exponent,
 )
@@ -144,7 +143,12 @@ def test_q_split_recombines():
         for part in buckets.values():
             for _, c in part.items():
                 assert c.q_degree_range() in (None, (0, 0))
-        assert recombine_q_split(SURFACE, "s", buckets) == elem
+        rebuilt = SkeinElement(
+            SURFACE,
+            "s",
+            [(lab, c * q_power(e)) for e, part in buckets.items() for lab, c in part.items()],
+        )
+        assert rebuilt == elem
 
 
 def test_convert_round_trip():

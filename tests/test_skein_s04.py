@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from skeinalg import skein_s04
 from skeinalg.curves import curve
 from skeinalg.elements import NoProductRuleError, SkeinElement, single
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
@@ -152,6 +155,23 @@ def test_mul_sn1_s01_base_cases():
         (_g(0, 0, 1, 1), ONE),
     )
     assert h1 == gamma_pair_ab()
+
+
+def test_mul_sn1_s01_needs_no_call_depth(monkeypatch):
+    # From an empty memo, n = 30 must fit in a stack only a little deeper
+    # than one product needs: the memo is filled upward, not by recursion.
+    want = mul_sn1_s01(30)
+    monkeypatch.setattr(skein_s04, "_SN1_CACHE", {})
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 32)
+    try:
+        got = mul_sn1_s01(30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_mul_sn1_s01_n2_remainder():
