@@ -14,8 +14,7 @@ import argparse
 import json
 import sys
 
-from . import curves, positivity, skein_ptorus, skein_s04, skein_torus
-from .elements import single
+from . import positivity, skein_ptorus, skein_s04, skein_torus
 from .polyseq import (
     PolySeq,
     builtin_sequence,
@@ -24,6 +23,7 @@ from .polyseq import (
     seq_leq,
     substitute_t,
 )
+from .reports import run_check
 
 _DISPLAY = {"that": "That", "s": "S", "t": "T", "monomial": "Monomial"}
 
@@ -55,10 +55,10 @@ def _print_element(elem, as_json: bool) -> int:
     return 0
 
 
-def _require_n_max(n_max: int, least: int) -> None:
-    """Reject a range that would make a verdict vacuous."""
-    if n_max < least:
-        raise ValueError(f"--n-max must be at least {least}, got {n_max}")
+def _cmd_verify(args) -> int:
+    report = run_check(args.checks, args.check, args.n_max)
+    print(_dump(report.to_json_obj()) if args.json else report.summary)
+    return 0 if report.passed else 2
 
 
 # -- tor -----------------------------------------------------------------------
@@ -100,44 +100,6 @@ def _cmd_ptor_mul(args) -> int:
     return _print_element(skein_ptorus.product(a, b), args.json)
 
 
-def _cmd_ptor_verify(args) -> int:
-    n_max = args.n_max
-    if args.check == "g-closed":
-        _require_n_max(n_max, 0)
-        bad = [
-            n
-            for n in range(n_max + 1)
-            if skein_ptorus.g_recursive(n) != skein_ptorus.g_closed(n)
-        ]
-        passed = not bad
-        detail = {"check": "g-closed", "n_max": n_max, "passed": passed, "failures": bad}
-        text = f"g-closed vs recursion, n <= {n_max}: " + (
-            "all equal" if passed else f"mismatches at {bad}"
-        )
-    else:
-        _require_n_max(n_max, 2)
-        bad = []
-        for n in range(2, n_max + 1):
-            w1, w2 = skein_ptorus.two_way_expansion(n)
-            if w1 != w2:
-                bad.append(n)
-        passed = not bad
-        detail = {
-            "check": "consistency",
-            "n_max": n_max,
-            "passed": passed,
-            "failures": bad,
-        }
-        text = f"two-way (1,0)-expansion, 2 <= n <= {n_max}: " + (
-            "consistent" if passed else f"mismatches at {bad}"
-        )
-    if args.json:
-        print(_dump(detail))
-    else:
-        print(text)
-    return 0 if passed else 2
-
-
 def _cmd_ptor_extract(args) -> int:
     P = resolve_sequence(args.seq)
     low, elem = skein_ptorus.upper_bound_extract(P, args.n)
@@ -164,103 +126,9 @@ def _cmd_s04_mul(args) -> int:
     return _print_element(skein_s04.product(a, b, fa or fb or "s"), args.json)
 
 
-def _h_bounds_failures(n_max: int) -> list[dict]:
-    failures = []
-    for n in range(1, n_max + 1):
-        h = skein_s04.h_part(n)
-        for label, c in h.items():
-            if label.slope is not None and label.slope.s in (1, 2):
-                failures.append({"n": n, "label": label.text(), "reason": "label"})
-            rng = c.q_degree_range()
-            if rng is not None and (rng[0] < -2 * n + 2 or rng[1] > 2 * n - 2):
-                failures.append(
-                    {"n": n, "label": label.text(), "reason": "q-range"}
-                )
-    return failures
-
-
-def _cmd_s04_verify(args) -> int:
-    n_max = args.n_max
-    # sigma checks -n_max <= n < n_max; the other checks start at n = 0 or 1.
-    _require_n_max(n_max, 0 if args.check == "tna-b" else 1)
-    if args.check == "h-bounds":
-        failures = _h_bounds_failures(n_max)
-        passed = not failures
-        detail = {
-            "check": "h-bounds",
-            "n_max": n_max,
-            "passed": passed,
-            "failures": failures,
-        }
-        text = f"remainder structure, 1 <= n <= {n_max}: " + (
-            "within bounds" if passed else f"{len(failures)} failures"
-        )
-    elif args.check == "tna-b":
-        bad = [
-            n
-            for n in range(n_max + 1)
-            if skein_s04.mul_tna_b(n) != skein_s04.tna_b_by_recurrence(n)
-        ]
-        passed = not bad
-        detail = {"check": "tna-b", "n_max": n_max, "passed": passed, "failures": bad}
-        text = f"closed form vs recurrence, n <= {n_max}: " + (
-            "all equal" if passed else f"mismatches at {bad}"
-        )
-    elif args.check == "sigma":
-        bad = []
-        for n in range(-n_max, n_max):
-            if skein_s04.apply_sigma(skein_s04.mul_a_bn(n, "s")) != skein_s04.mul_a_bn(
-                n + 1, "s"
-            ):
-                bad.append(("a-bn", n))
-        for m in range(-n_max, n_max):
-            if skein_s04.apply_sigma(skein_s04.mul_s10_sm2(m)) != skein_s04.mul_s10_sm2(
-                m + 2
-            ):
-                bad.append(("s10-m2", m))
-        passed = not bad
-        detail = {
-            "check": "sigma",
-            "n_max": n_max,
-            "passed": passed,
-            "failures": [list(b) for b in bad],
-        }
-        text = f"half-twist transport, |n| <= {n_max}: " + (
-            "equivariant" if passed else f"mismatches {bad}"
-        )
-    else:  # h-positive: observational only, never a failure exit
-        rows = []
-        for n in range(1, n_max + 1):
-            h = skein_s04.h_part(n)
-            rows.append(
-                {
-                    "n": n,
-                    "all_positive": all(c.is_positive() for _, c in h.items()),
-                }
-            )
-        detail = {"check": "h-positive", "n_max": n_max, "observations": rows}
-        lines = [
-            f"n={row['n']}: {'positive' if row['all_positive'] else 'has negative coefficients'}"
-            for row in rows
-        ]
-        text = (
-            f"remainder positivity observations (monomial peripheral "
-            f"coordinates), 1 <= n <= {n_max}:\n" + "\n".join(lines)
-        )
-        passed = True
-    if args.json:
-        print(_dump(detail))
-    else:
-        print(text)
-    return 0 if passed else 2
-
-
 def _cmd_s04_extract(args) -> int:
     n = args.n
-    low, elem = skein_s04.lowest_q_term_s04(n)
-    want_label = skein_s04.S04Label(curves.curve(n, 0))
-    want = single(skein_s04.SURFACE, "s", want_label)
-    matches = low == -2 * n and elem == want
+    low, elem, matches = skein_s04.extract_lowest_s04(n)
     if args.json:
         print(
             _dump(
@@ -424,10 +292,10 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_ptor_mul)
     p = ptor_sub.add_parser("verify", help="mechanized identity checks")
-    p.add_argument("check", choices=["g-closed", "consistency"])
+    p.add_argument("check", choices=list(skein_ptorus.CHECKS))
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ptor_verify)
+    p.set_defaults(func=_cmd_verify, checks=skein_ptorus.CHECKS)
     p = ptor_sub.add_parser("extract", help="lowest q-layer of (n,1)*(0,1)")
     p.add_argument("--seq", default="s")
     p.add_argument("--n", type=int, default=20)
@@ -442,12 +310,10 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_s04_mul)
     p = s04_sub.add_parser("verify", help="mechanized identity checks")
-    p.add_argument(
-        "check", choices=["h-bounds", "tna-b", "sigma", "h-positive"]
-    )
+    p.add_argument("check", choices=list(skein_s04.CHECKS))
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_s04_verify)
+    p.set_defaults(func=_cmd_verify, checks=skein_s04.CHECKS)
     p = s04_sub.add_parser("extract", help="lowest q-layer of (n,1)*(0,1)")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--json", action="store_true")

@@ -129,8 +129,11 @@ class Laurent:
 
     # -- queries -----------------------------------------------------------
 
-    def is_positive(self) -> bool:
-        """True iff every coefficient is nonnegative (0 counts as positive)."""
+    def is_positive(self, q1: bool = False) -> bool:
+        """True iff every coefficient is nonnegative (0 counts as positive);
+        with ``q1``, iff the value at q = 1 is nonnegative."""
+        if q1:
+            return self.specialize_q1() >= 0
         return all(c >= 0 for c in self._terms.values())
 
     def q_degree_range(self) -> tuple[int, int] | None:

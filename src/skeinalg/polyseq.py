@@ -383,8 +383,7 @@ def seq_leq(P: PolySeq, Q: PolySeq, n_max: int, *, q1: bool = False) -> SeqLeqRe
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     for n in range(n_max + 1):
         for k, c in enumerate(expand_in(Q.poly(n), P)):
-            ok = c.specialize_q1() >= 0 if q1 else c.is_positive()
-            if not ok:
+            if not c.is_positive(q1):
                 return SeqLeqResult(False, n_max, (n, k, c))
     return SeqLeqResult(True, n_max, None)
 
@@ -411,6 +410,8 @@ def parse_sequence_table(text: str, name: str) -> PolySeq:
             raise ValueError(
                 f"{name}, line {lineno}: bad index {head.strip()!r}"
             ) from None
+        if n < 0:
+            raise ValueError(f"{name}, line {lineno}: negative index {n}")
         if n in entries:
             raise ValueError(f"{name}, line {lineno}: duplicate index {n}")
         coeffs = [parse_laurent(tok) for tok in tail.split()]

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .curves import curve
-from .elements import SkeinElement, combine, single
+from .elements import combine, single
 from .laurent import Laurent, q_power
 from .polyseq import (
     CHEB_S,
@@ -80,40 +80,27 @@ def perturbed_that(level: int, deltas: tuple[int, ...]) -> PolySeq:
     return PolySeq.from_polys(f"that-pert{level}[{tag}]", polys)
 
 
-def _first_bad(elem: SkeinElement, q1: bool) -> tuple[str, Laurent] | None:
-    for label, c in elem.items():
-        ok = c.specialize_q1() >= 0 if q1 else c.is_positive()
-        if not ok:
-            return label.text(), c
-    return None
-
-
-def _first_bad_coeffs(coeffs, q1: bool) -> tuple[str, Laurent] | None:
-    for k, c in enumerate(coeffs):
-        ok = c.specialize_q1() >= 0 if q1 else c.is_positive()
-        if not ok:
-            return f"P_{k}", c
-    return None
+def _first_bad(pairs, q1: bool) -> tuple[object, Laurent] | None:
+    """The first (key, coefficient) pair whose coefficient is not positive."""
+    return next(((key, c) for key, c in pairs if not c.is_positive(q1)), None)
 
 
 def _uniqueness_witnesses(P: PolySeq, level: int, q1: bool):
     """Yield (kind, offending label, coefficient) for the witness products
     of one perturbation level, stopping at the first violation per kind."""
     k = level
-    checks = [
-        ("level-product", lambda: structure_constants(P, tlabel(k, 1), tlabel(0, 1))),
-        ("input-product", lambda: structure_constants(P, tlabel(k, 0), tlabel(0, 1))),
-        ("base-product", lambda: structure_constants(P, tlabel(2, 1), tlabel(0, 1))),
-    ]
-    for kind, run in checks:
-        bad = _first_bad(run(), q1)
+    for kind, (r, s) in (
+        ("level-product", (k, 1)),
+        ("input-product", (k, 0)),
+        ("base-product", (2, 1)),
+    ):
+        bad = _first_bad(structure_constants(P, tlabel(r, s), tlabel(0, 1)).items(), q1)
         if bad is not None:
-            yield kind, bad[0], bad[1]
+            yield kind, bad[0].text(), bad[1]
     for kind, (i, j) in (("annulus-1", (1, k - 1)), ("annulus-2", (2, k - 2))):
-        prod = P.poly(i) * P.poly(j)
-        bad = _first_bad_coeffs(expand_in(prod, P), q1)
+        bad = _first_bad(enumerate(expand_in(P.poly(i) * P.poly(j), P)), q1)
         if bad is not None:
-            yield kind, bad[0], bad[1]
+            yield kind, f"P_{bad[0]}", bad[1]
 
 
 @dataclass(frozen=True)
@@ -230,9 +217,7 @@ def replay_uniqueness_witness(record: KilledPerturbation, *, q1: bool = False) -
     return False
 
 
-def lower_bound_certify(
-    P: PolySeq, n_max: int, *, surface: str = "s04"
-) -> PositivityReport:
+def lower_bound_certify(P: PolySeq, n_max: int) -> PositivityReport:
     """Certify the lower-bound direction on the four-punctured sphere.
 
     For 2 <= n <= n_max, P_n(a) * b is assembled from the proved product
@@ -240,8 +225,6 @@ def lower_bound_certify(
     primitive (i,1) label is q^(2i) (resp. q^(-2i)) times the i-th
     expansion coefficient, so all of them must be positive.
     """
-    if surface != "s04":
-        raise ValueError("the lower-bound argument runs on the sphere")
     if P.poly(1) != X:
         raise ValueError(f"sequence {P.name!r} does not have P_1 = x")
     if n_max < 2:

@@ -20,6 +20,9 @@ of ``PRODUCTS``, tried in order by ``product``:
     rule, same shape as the closed-torus product);
   * (1,0) times (k,0): one-variable multiplication on the (1,0) curve.
 
+``CHECKS`` checks G_n in closed form against its recursion, and the two
+ways of expanding (1,0)*((n,1)*(0,1)), up to a bound.
+
 U-powers are read in the flavor, so a rule may add the U-powers of its
 factors only when one of them is zero, and a rule whose output carries U
 needs U-free factors.
@@ -31,6 +34,7 @@ supplied integer-coefficient flavor and groups terms by q-exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 
 from .curves import (
     CurveClass,
@@ -62,6 +66,7 @@ from .polyseq import (
     expand_in,
     expansion_coeffs,
 )
+from .reports import Check, CheckReport
 
 __all__ = [
     "SURFACE",
@@ -78,6 +83,7 @@ __all__ = [
     "PRODUCTS",
     "product",
     "two_way_expansion",
+    "CHECKS",
     "shift_u",
     "convert",
     "upper_bound_extract",
@@ -344,6 +350,29 @@ def two_way_expansion(n: int) -> tuple[SkeinElement, SkeinElement]:
     )
     way2 = mul_by_t10(mul_tn1_t01(n))
     return way1, way2
+
+
+# Checks look their rules up at call time, so that a rebound rule reaches them.
+
+
+def _g_closed_check(n_max: int) -> CheckReport:
+    bad = [n for n in range(n_max + 1) if g_recursive(n) != g_closed(n)]
+    verdict = f"mismatches at {bad}" if bad else "all equal"
+    summary = f"g-closed vs recursion, n <= {n_max}: {verdict}"
+    return CheckReport("g-closed", n_max, summary, bad)
+
+
+def _consistency_check(n_max: int) -> CheckReport:
+    bad = [n for n in range(2, n_max + 1) if ne(*two_way_expansion(n))]
+    verdict = f"mismatches at {bad}" if bad else "consistent"
+    summary = f"two-way (1,0)-expansion, 2 <= n <= {n_max}: {verdict}"
+    return CheckReport("consistency", n_max, summary, bad)
+
+
+CHECKS = {
+    "g-closed": Check(0, _g_closed_check),
+    "consistency": Check(2, _consistency_check),
+}
 
 
 def convert(

@@ -24,8 +24,11 @@ its output.
     two leading slope terms and g_n are subtracted.
 
 The half twist sigma acts on slopes by (r,s) -> (r+s,s) and swaps the
-first two punctures; it transports each identity to the next index, which
-the test-suite checks mechanically.
+first two punctures; it transports each identity to the next index.
+
+``CHECKS`` checks, up to a bound, the remainder bounds of the tower, the
+type-one power against its recurrence and the half-twist transport, and
+observes the signs of the remainders.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .elements import (
 )
 from .laurent import Laurent, ONE, const, q_power, quantum_int
 from .polyseq import CHEB_S, X, builtin_sequence
+from .reports import Check, CheckReport
 
 __all__ = [
     "SURFACE",
@@ -68,7 +72,9 @@ __all__ = [
     "PRODUCTS",
     "product",
     "lowest_q_term_s04",
+    "extract_lowest_s04",
     "h_part",
+    "CHECKS",
     "ForcingReport",
     "p1_forcing_witness",
     "operand_from_text",
@@ -292,52 +298,53 @@ def g_s04_closed(n: int) -> SkeinElement:
     )
 
 
-_SN1_CACHE: dict[int, tuple[SkeinElement, SkeinElement]] = {}
+_SN1_CACHE: dict[int, SkeinElement] = {}
 
 
-def mul_sn1_s01(n: int) -> tuple[SkeinElement, SkeinElement]:
-    """(n,1) * (0,1) in the type-two flavor, with its remainder.
+def mul_sn1_s01(n: int) -> SkeinElement:
+    """(n,1) * (0,1) in the type-two flavor,
 
-    Returns (full, h) where
+        q^2n (n,2) + q^-2n (n,0) + g_n + h_n,
 
-        full = q^2n (n,2) + q^-2n (n,0) + g_n + h,
-
-    g_n is the closed-form correction block and h is defined operationally
-    as the rest.  Base cases are the one-variable square at n = 0 and the
-    two-crossing resolution at n = 1; higher n comes from the recursion
+    where g_n is the closed-form correction block and h_n (``h_part``) is
+    defined operationally as the rest.  Base cases are the one-variable
+    square at n = 0 and the two-crossing resolution at n = 1; higher n
+    comes from the recursion
 
         full(n) = q^-2 (1,0)*full(n-1) - q^-4 full(n-2) - q^-2 c_(n-1)*(0,1).
 
-    The memo is filled upward from its highest index, so large n costs no
-    call depth.
+    The memo holds one product per index and is filled upward from its
+    highest index, so large n costs no call depth.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     for m in range(len(_SN1_CACHE), n + 1):
         if m == 0:
             full = instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04Label)
-            _SN1_CACHE[0] = (full, zero(SURFACE, "s"))
-            continue
-        if m == 1:
+        elif m == 1:
             full = _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab("s")
         else:
             full = combine(
                 SURFACE,
                 "s",
                 [
-                    (mul_by_s10(_SN1_CACHE[m - 1][0]), q_power(-2)),
-                    (_SN1_CACHE[m - 2][0], -q_power(-4)),
+                    (mul_by_s10(_SN1_CACHE[m - 1]), q_power(-2)),
+                    (_SN1_CACHE[m - 2], -q_power(-4)),
                     (_c_times(curve(0, 1), m - 1), -q_power(-2)),
                 ],
             )
-        leading = _pair("s", curve(m, 2), curve(m, 0), 2 * m)
-        h = combine(SURFACE, "s", [(full, 1), (leading, -1), (g_s04_closed(m), -1)])
-        _SN1_CACHE[m] = (full, h)
+        _SN1_CACHE[m] = full
     return _SN1_CACHE[n]
 
 
 def h_part(n: int) -> SkeinElement:
-    return mul_sn1_s01(n)[1]
+    """The remainder h_n of (n,1) * (0,1): the product minus its two
+    leading slope terms and g_n; zero at n = 0."""
+    full = mul_sn1_s01(n)
+    if n == 0:
+        return zero(SURFACE, "s")
+    leading = _pair("s", curve(n, 2), curve(n, 0), 2 * n)
+    return combine(SURFACE, "s", [(full, 1), (leading, -1), (g_s04_closed(n), -1)])
 
 
 def lowest_q_term_s04(n: int) -> tuple[int, SkeinElement]:
@@ -345,10 +352,16 @@ def lowest_q_term_s04(n: int) -> tuple[int, SkeinElement]:
     every supported n >= 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    full, _ = mul_sn1_s01(n)
-    buckets = split_by_q_exponent(full)
+    buckets = split_by_q_exponent(mul_sn1_s01(n))
     low = min(buckets)
     return low, buckets[low]
+
+
+def extract_lowest_s04(n: int) -> tuple[int, SkeinElement, bool]:
+    """``lowest_q_term_s04(n)`` and whether it is q^-2n times (n,0)."""
+    low, elem = lowest_q_term_s04(n)
+    want = single(SURFACE, "s", S04Label(curve(n, 0)))
+    return low, elem, low == -2 * n and elem == want
 
 
 # -- the product table ---------------------------------------------------------
@@ -414,7 +427,7 @@ PRODUCTS = (
     ProductRule(
         "(n,1) * (0,1) for n >= 0",
         lambda a, b: _is_slope(a, 1) and a.slope.r >= 0 and b.slope == S01.slope,
-        lambda a, b, flavor: _dressed(mul_sn1_s01(a.slope.r)[0], a, b),
+        lambda a, b, flavor: _dressed(mul_sn1_s01(a.slope.r), a, b),
         ("s",),
     ),
     ProductRule(
@@ -450,6 +463,64 @@ def mul_by_s10(elem: SkeinElement) -> SkeinElement:
     """Left-multiply a type-two-flavor element by the (1,0) label, term by
     term through ``product``."""
     return _mul_by_10(elem, "s", "mul_by_s10")
+
+
+# -- the check table -----------------------------------------------------------
+# Checks look their rules up at call time, so that a rebound rule reaches them.
+
+
+def _h_bounds_check(n_max: int) -> CheckReport:
+    """No remainder label has a (k,1) or (k,2) slope, and every remainder
+    coefficient has q-degrees within -2n+2 .. 2n-2."""
+    failures = []
+    for n in range(1, n_max + 1):
+        for label, c in h_part(n).items():
+            if label.slope is not None and label.slope.s in (1, 2):
+                failures.append({"n": n, "label": label.text(), "reason": "label"})
+            rng = c.q_degree_range()
+            if rng is not None and (rng[0] < -2 * n + 2 or rng[1] > 2 * n - 2):
+                failures.append({"n": n, "label": label.text(), "reason": "q-range"})
+    verdict = f"{len(failures)} failures" if failures else "within bounds"
+    summary = f"remainder structure, 1 <= n <= {n_max}: {verdict}"
+    return CheckReport("h-bounds", n_max, summary, failures)
+
+
+def _tna_b_check(n_max: int) -> CheckReport:
+    bad = [n for n in range(n_max + 1) if mul_tna_b(n) != tna_b_by_recurrence(n)]
+    verdict = f"mismatches at {bad}" if bad else "all equal"
+    summary = f"closed form vs recurrence, n <= {n_max}: {verdict}"
+    return CheckReport("tna-b", n_max, summary, bad)
+
+
+def _sigma_check(n_max: int) -> CheckReport:
+    span = range(-n_max, n_max)
+    a_bn = [n for n in span if apply_sigma(mul_a_bn(n, "s")) != mul_a_bn(n + 1, "s")]
+    s10_m2 = [m for m in span if apply_sigma(mul_s10_sm2(m)) != mul_s10_sm2(m + 2)]
+    bad = [("a-bn", n) for n in a_bn] + [("s10-m2", m) for m in s10_m2]
+    verdict = f"mismatches {bad}" if bad else "equivariant"
+    summary = f"half-twist transport, |n| <= {n_max}: {verdict}"
+    return CheckReport("sigma", n_max, summary, bad)
+
+
+def _h_positive_check(n_max: int) -> CheckReport:
+    """Observations only, never a failure."""
+    summary = "remainder positivity observations (monomial peripheral coordinates), "
+    summary += f"1 <= n <= {n_max}:"
+    rows = []
+    for n in range(1, n_max + 1):
+        positive = all(c.is_positive() for _, c in h_part(n).items())
+        rows.append({"n": n, "all_positive": positive})
+        verdict = "positive" if positive else "has negative coefficients"
+        summary += f"\nn={n}: {verdict}"
+    return CheckReport("h-positive", n_max, summary, observations=rows)
+
+
+CHECKS = {
+    "h-bounds": Check(1, _h_bounds_check),
+    "tna-b": Check(0, _tna_b_check),
+    "sigma": Check(1, _sigma_check),
+    "h-positive": Check(1, _h_positive_check),
+}
 
 
 # -- forcing the linear entry of a positive sequence ---------------------------

@@ -174,8 +174,7 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
         for b in labels:
             prod = convert(mul(that_forms[a], that_forms[b]), P, THAT)
             for label, cf in prod.items():
-                ok = cf.specialize_q1() >= 0 if q1 else cf.is_positive()
-                if not ok:
+                if not cf.is_positive(q1):
                     witnesses.append(
                         Witness((a.text(), b.text()), label.text(), cf)
                     )

@@ -127,7 +127,7 @@ def test_s04_mul_and_json(capsys):
     code, out = run(capsys, "s04", "mul", "S(2,1)", "S(0,1)", "--json")
     assert code == 0
     elem = skein_s04.element_from_json(json.loads(out))
-    assert elem == skein_s04.mul_sn1_s01(2)[0]
+    assert elem == skein_s04.mul_sn1_s01(2)
     code, out = run(capsys, "s04", "mul", "T(3,0)", "T(0,1)", "--json")
     assert code == 0
     elem = skein_s04.element_from_json(json.loads(out))
@@ -215,6 +215,9 @@ def test_file_sequence_load_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0: 1\n1: 0 2\n")
     assert main(["order", "leq", f"file:{path}", "s"]) == 1
+    # A "-1:" line must not be dropped, which would certify this file.
+    path.write_text("0: 1\n1: 0 1\n-1:\n")
+    assert main(["order", "leq", "that", f"file:{path}", "--n-max", "1"]) == 1
 
 
 def test_peripheral_token_products(capsys):
@@ -259,6 +262,14 @@ def test_help_exits_0():
     assert main(["--help"]) == 0
 
 
+# Every row of both check tables, as (surface command, check, least n_max).
+CHECK_ROWS = [
+    (surface, name, row.least_n_max)
+    for surface, table in (("ptor", skein_ptorus.CHECKS), ("s04", skein_s04.CHECKS))
+    for name, row in table.items()
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -269,6 +280,10 @@ def test_help_exits_0():
         ["s04", "verify", "tna-b", "--n-max", "-1"],
         ["order", "leq", "that", "s", "--n-max", "-1"],
         ["certify", "sandwich", "--seq", "s", "--n-max", "-1"],
+    ]
+    + [
+        pytest.param([surface, "verify", name, "--n-max", str(least - 1)], id=name)
+        for surface, name, least in CHECK_ROWS
     ],
 )
 def test_empty_range_is_an_error(capsys, argv):
@@ -278,3 +293,12 @@ def test_empty_range_is_an_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "surface,name,least", [pytest.param(*row, id=row[1]) for row in CHECK_ROWS]
+)
+def test_least_n_max_is_accepted(capsys, surface, name, least):
+    # The least n_max of a check row is the smallest range with an index.
+    assert main([surface, "verify", name, "--n-max", str(least)]) == 0
+    assert capsys.readouterr().err == ""

@@ -78,6 +78,14 @@ def test_specialize_q1():
     assert ZERO.specialize_q1() == 0
 
 
+def test_is_positive_at_q1():
+    # With q1 the predicate reads the value at q = 1, not the signs.
+    assert parse_laurent("2q-q^-1").is_positive(q1=True)
+    assert not parse_laurent("2q-q^-1").is_positive()
+    assert not parse_laurent("q-2").is_positive(q1=True)
+    assert ZERO.is_positive(q1=True)
+
+
 def test_invert_q():
     assert parse_laurent("2q^3-q^-1").invert_q() == parse_laurent("2q^-3-q")
 

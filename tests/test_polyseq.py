@@ -184,6 +184,18 @@ def test_sequence_table_load_errors():
         parse_sequence_table("1: 1\n", "wrong-arity")
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [("0: 1\n1: 0 1\n-1:\n", 3), ("-1:\n", 1)],
+    ids=["after-entries", "only-line"],
+)
+def test_sequence_table_rejects_negative_index(text, line):
+    # A "-1:" line has the zero coefficients its index asks for; it must
+    # not be dropped silently, nor fail only when the sequence is used.
+    with pytest.raises(ValueError, match=f"neg, line {line}: negative index -1"):
+        parse_sequence_table(text, "neg")
+
+
 def test_builtin_lookup():
     assert polyseq.builtin_sequence("that") is THAT
     with pytest.raises(ValueError):

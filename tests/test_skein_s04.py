@@ -144,10 +144,10 @@ def test_g_s04_closed_examples():
 
 
 def test_mul_sn1_s01_base_cases():
-    full0, h0 = mul_sn1_s01(0)
+    full0, h0 = mul_sn1_s01(0), h_part(0)
     assert full0 == _elem((slabel(0, 2), ONE), (S04Label(None), ONE))
     assert h0.is_zero
-    full1, h1 = mul_sn1_s01(1)
+    full1, h1 = mul_sn1_s01(1), h_part(1)
     assert full1 == _elem(
         (slabel(1, 2), q_power(2)),
         (slabel(1, 0), q_power(-2)),
@@ -175,7 +175,7 @@ def test_mul_sn1_s01_needs_no_call_depth(monkeypatch):
 
 
 def test_mul_sn1_s01_n2_remainder():
-    _, h2 = mul_sn1_s01(2)
+    h2 = h_part(2)
     expected = gamma_quad() + _elem(
         (S04Label(curve(1, 0), (1, 1, 0, 0)), q_power(-2)),
         (S04Label(curve(1, 0), (0, 0, 1, 1)), q_power(-2)),
@@ -185,7 +185,7 @@ def test_mul_sn1_s01_n2_remainder():
 
 def test_decomposition_reassembles():
     for n in range(0, 15):
-        full, h = mul_sn1_s01(n)
+        full, h = mul_sn1_s01(n), h_part(n)
         lead = _elem(
             (slabel(n, 2), q_power(2 * n)), (slabel(n, 0), q_power(-2 * n))
         ) if n else _elem((slabel(0, 2), ONE), (S04Label(None), ONE))
@@ -261,5 +261,5 @@ def test_p1_forcing_element_structure():
 
 
 def test_element_json_round_trip():
-    e = mul_sn1_s01(3)[0]
+    e = mul_sn1_s01(3)
     assert element_from_json(e.to_json_obj()) == e
