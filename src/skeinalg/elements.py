@@ -189,7 +189,8 @@ def combine(
             _check_compatible(surface, flavor, elem)
             if isinstance(c, int) and c == 1:
                 # Share the part's coefficients, as ``+`` does: a copy would
-                # double the size of each memoized sum.
+                # double the size of a sum kept beside its parts, such as
+                # the remainders h_k beside the sphere tower's products.
                 yield from elem._terms.items()
                 continue
             c = Laurent.coerce(c)

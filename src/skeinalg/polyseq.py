@@ -295,9 +295,6 @@ def chebyshev(kind: str, n: int) -> Poly1:
     return _CHEB_KINDS[kind].poly(n)
 
 
-_T_POWERS: list[Laurent] = [ONE]
-
-
 def substitute_t(p: Poly1) -> Laurent:
     """Evaluate p at x = t + t^-1, returning a Laurent polynomial in t.
 
@@ -306,17 +303,15 @@ def substitute_t(p: Poly1) -> Laurent:
     sum t^n + t^(n-2) + ... + t^-n.
     """
     base = q_power(1) + q_power(-1)
-    while len(_T_POWERS) <= p.degree:
-        _T_POWERS.append(_T_POWERS[-1] * base)
-    acc = ZERO
+    acc, power = ZERO, ONE
     for k, c in enumerate(p.coeffs):
-        if c.is_zero:
-            continue
-        if c.q_degree_range() != (0, 0):
-            raise ValueError(
-                f"coefficient of x^{k} has q-dependence: {c}"
-            )
-        acc = acc + const(c.coeff(0)) * _T_POWERS[k]
+        if not c.is_zero:
+            if c.q_degree_range() != (0, 0):
+                raise ValueError(
+                    f"coefficient of x^{k} has q-dependence: {c}"
+                )
+            acc = acc + const(c.coeff(0)) * power
+        power = power * base
     return acc
 
 

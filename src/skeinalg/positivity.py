@@ -229,11 +229,13 @@ def lower_bound_certify(P: PolySeq, n_max: int) -> PositivityReport:
         raise ValueError(f"sequence {P.name!r} does not have P_1 = x")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    # P_n(a) * b sums these: b at index 0, then T_i(a) * b, each built once.
+    products = [single(S04_SURFACE, "that", S04Label(curve(0, 1)))]
+    products += [mul_tna_b(i) for i in range(1, n_max + 1)]
     witnesses: list[Witness] = []
     for n in range(2, n_max + 1):
         coeffs = expand_in(P.poly(n), THAT)
-        parts = [(single(S04_SURFACE, "that", S04Label(curve(0, 1))), coeffs[0])]
-        parts += [(mul_tna_b(i), coeffs[i]) for i in range(1, n + 1) if not coeffs[i].is_zero]
+        parts = [(products[i], c) for i, c in enumerate(coeffs) if not c.is_zero]
         elem = combine(S04_SURFACE, "that", parts)
         for i in range(0, n + 1):
             lab = S04Label(curve(i, 1))

@@ -33,6 +33,7 @@ supplied integer-coefficient flavor and groups terms by q-exponent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import ne
 
@@ -207,8 +208,9 @@ def g_closed(n: int) -> Poly1:
     )
 
 
-def g_recursive(n: int) -> Poly1:
-    """G_n by the recursion that drives the (n,1)*(0,1) product family:
+def g_recursive(n: int) -> list[Poly1]:
+    """[G_0, ..., G_n] by the recursion that drives the (n,1)*(0,1)
+    product family:
 
         G_m = q^-1 x G_{m-1} - q^-2 G_{m-2} + q^(m-2) A_{m-1},
 
@@ -222,7 +224,7 @@ def g_recursive(n: int) -> Poly1:
         if parity_indicator(m - 1):
             p = p + Poly1.const(q_power(m - 2))
         table.append(p)
-    return table[n] if n < len(table) else table[-1]
+    return table[: n + 1]
 
 
 def mul_tn1_t01(n: int) -> SkeinElement:
@@ -335,35 +337,41 @@ def mul_by_t10(elem: SkeinElement) -> SkeinElement:
     )
 
 
-def two_way_expansion(n: int) -> tuple[SkeinElement, SkeinElement]:
-    """Expand (1,0) * ((n,1) * (0,1)) both ways.
+def two_way_expansion(n: int) -> Iterator[tuple[SkeinElement, SkeinElement]]:
+    """Expand (1,0) * ((k,1) * (0,1)) both ways, for k = 1..n in turn.
 
-    Way one resolves (1,0)*(n,1) first; way two multiplies (1,0) into the
-    expanded (n,1)*(0,1).  Associativity makes the two elements equal, and
+    Way one resolves (1,0)*(k,1) first; way two multiplies (1,0) into the
+    expanded (k,1)*(0,1).  Associativity makes the two elements equal, and
     checking that equality mechanizes the induction step behind the
-    product family.
+    product family.  The pairs are made lazily from a window of three
+    products, so each product is built once and only the window is kept.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    way1 = mul_tn1_t01(n + 1).scaled(q_power(1)) + mul_tn1_t01(n - 1).scaled(
-        q_power(-1)
-    )
-    way2 = mul_by_t10(mul_tn1_t01(n))
-    return way1, way2
+
+    def pairs():
+        below, at = mul_tn1_t01(0), mul_tn1_t01(1)
+        for k in range(1, n + 1):
+            above = mul_tn1_t01(k + 1)
+            yield above.scaled(q_power(1)) + below.scaled(q_power(-1)), mul_by_t10(at)
+            below, at = at, above
+
+    return pairs()
 
 
 # Checks look their rules up at call time, so that a rebound rule reaches them.
 
 
 def _g_closed_check(n_max: int) -> CheckReport:
-    bad = [n for n in range(n_max + 1) if g_recursive(n) != g_closed(n)]
+    bad = [n for n, g in enumerate(g_recursive(n_max)) if g != g_closed(n)]
     verdict = f"mismatches at {bad}" if bad else "all equal"
     summary = f"g-closed vs recursion, n <= {n_max}: {verdict}"
     return CheckReport("g-closed", n_max, summary, bad)
 
 
 def _consistency_check(n_max: int) -> CheckReport:
-    bad = [n for n in range(2, n_max + 1) if ne(*two_way_expansion(n))]
+    pairs = enumerate(two_way_expansion(n_max), start=1)
+    bad = [n for n, pair in pairs if n >= 2 and ne(*pair)]
     verdict = f"mismatches at {bad}" if bad else "consistent"
     summary = f"two-way (1,0)-expansion, 2 <= n <= {n_max}: {verdict}"
     return CheckReport("consistency", n_max, summary, bad)

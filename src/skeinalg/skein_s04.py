@@ -236,19 +236,16 @@ def mul_tna_b(n: int) -> SkeinElement:
 # -- the type-two tower on (n,1)*(0,1) ----------------------------------------
 
 
-def tna_b_by_recurrence(n: int) -> SkeinElement:
-    """Oracle route for ``mul_tna_b``: expand the type-one power through
-    T_k = x T_{k-1} - T_{k-2} and repeated left multiplication by (1,0),
-    never touching the closed form."""
+def tna_b_by_recurrence(n: int) -> list[SkeinElement]:
+    """Oracle route for ``mul_tna_b``, at indices 0..n: expand the type-one
+    powers through T_k = x T_{k-1} - T_{k-2} and repeated left
+    multiplication by (1,0), never touching the closed form."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    prev = single(SURFACE, "that", S04Label(curve(0, 1)), 2)
-    if n == 0:
-        return prev
-    cur = mul_a_bn(0, "that")
-    for _ in range(2, n + 1):
-        prev, cur = cur, mul_by_a(cur) - prev
-    return cur
+    powers = [single(SURFACE, "that", S04Label(curve(0, 1)), 2), mul_a_bn(0, "that")]
+    for k in range(2, n + 1):
+        powers.append(mul_by_a(powers[k - 1]) - powers[k - 2])
+    return powers[: n + 1]
 
 
 def mul_s10_sm2(m: int) -> SkeinElement:
@@ -298,53 +295,46 @@ def g_s04_closed(n: int) -> SkeinElement:
     )
 
 
-_SN1_CACHE: dict[int, SkeinElement] = {}
+def mul_sn1_s01(n: int) -> list[SkeinElement]:
+    """The products (k,1) * (0,1) in the type-two flavor, for k = 0..n,
 
+        q^2k (k,2) + q^-2k (k,0) + g_k + h_k,
 
-def mul_sn1_s01(n: int) -> SkeinElement:
-    """(n,1) * (0,1) in the type-two flavor,
-
-        q^2n (n,2) + q^-2n (n,0) + g_n + h_n,
-
-    where g_n is the closed-form correction block and h_n (``h_part``) is
+    where g_k is the closed-form correction block and h_k (``h_part``) is
     defined operationally as the rest.  Base cases are the one-variable
-    square at n = 0 and the two-crossing resolution at n = 1; higher n
+    square at k = 0 and the two-crossing resolution at k = 1; higher k
     comes from the recursion
 
-        full(n) = q^-2 (1,0)*full(n-1) - q^-4 full(n-2) - q^-2 c_(n-1)*(0,1).
+        full(k) = q^-2 (1,0)*full(k-1) - q^-4 full(k-2) - q^-2 c_(k-1)*(0,1).
 
-    The memo holds one product per index and is filled upward from its
-    highest index, so large n costs no call depth.
+    The list is built upward, so large n costs no call depth.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    for m in range(len(_SN1_CACHE), n + 1):
-        if m == 0:
-            full = instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04Label)
-        elif m == 1:
-            full = _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab("s")
-        else:
-            full = combine(
-                SURFACE,
-                "s",
-                [
-                    (mul_by_s10(_SN1_CACHE[m - 1]), q_power(-2)),
-                    (_SN1_CACHE[m - 2], -q_power(-4)),
-                    (_c_times(curve(0, 1), m - 1), -q_power(-2)),
-                ],
-            )
-        _SN1_CACHE[m] = full
-    return _SN1_CACHE[n]
+    products = [
+        instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04Label),
+        _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab("s"),
+    ]
+    for k in range(2, n + 1):
+        parts = [
+            (mul_by_s10(products[k - 1]), q_power(-2)),
+            (products[k - 2], -q_power(-4)),
+            (_c_times(curve(0, 1), k - 1), -q_power(-2)),
+        ]
+        products.append(combine(SURFACE, "s", parts))
+    return products[: n + 1]
 
 
-def h_part(n: int) -> SkeinElement:
-    """The remainder h_n of (n,1) * (0,1): the product minus its two
-    leading slope terms and g_n; zero at n = 0."""
-    full = mul_sn1_s01(n)
-    if n == 0:
-        return zero(SURFACE, "s")
-    leading = _pair("s", curve(n, 2), curve(n, 0), 2 * n)
-    return combine(SURFACE, "s", [(full, 1), (leading, -1), (g_s04_closed(n), -1)])
+def h_part(n: int) -> list[SkeinElement]:
+    """The remainders h_0..h_n of (k,1) * (0,1): each product minus its two
+    leading slope terms and g_k; zero at k = 0."""
+    remainders = [zero(SURFACE, "s")]
+    for k, full in enumerate(mul_sn1_s01(n)[1:], start=1):
+        leading = _pair("s", curve(k, 2), curve(k, 0), 2 * k)
+        remainders.append(
+            combine(SURFACE, "s", [(full, 1), (leading, -1), (g_s04_closed(k), -1)])
+        )
+    return remainders
 
 
 def lowest_q_term_s04(n: int) -> tuple[int, SkeinElement]:
@@ -352,7 +342,7 @@ def lowest_q_term_s04(n: int) -> tuple[int, SkeinElement]:
     every supported n >= 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    buckets = split_by_q_exponent(mul_sn1_s01(n))
+    buckets = split_by_q_exponent(mul_sn1_s01(n)[-1])
     low = min(buckets)
     return low, buckets[low]
 
@@ -427,7 +417,7 @@ PRODUCTS = (
     ProductRule(
         "(n,1) * (0,1) for n >= 0",
         lambda a, b: _is_slope(a, 1) and a.slope.r >= 0 and b.slope == S01.slope,
-        lambda a, b, flavor: _dressed(mul_sn1_s01(a.slope.r), a, b),
+        lambda a, b, flavor: _dressed(mul_sn1_s01(a.slope.r)[-1], a, b),
         ("s",),
     ),
     ProductRule(
@@ -473,8 +463,8 @@ def _h_bounds_check(n_max: int) -> CheckReport:
     """No remainder label has a (k,1) or (k,2) slope, and every remainder
     coefficient has q-degrees within -2n+2 .. 2n-2."""
     failures = []
-    for n in range(1, n_max + 1):
-        for label, c in h_part(n).items():
+    for n, h in enumerate(h_part(n_max)[1:], start=1):
+        for label, c in h.items():
             if label.slope is not None and label.slope.s in (1, 2):
                 failures.append({"n": n, "label": label.text(), "reason": "label"})
             rng = c.q_degree_range()
@@ -486,7 +476,8 @@ def _h_bounds_check(n_max: int) -> CheckReport:
 
 
 def _tna_b_check(n_max: int) -> CheckReport:
-    bad = [n for n in range(n_max + 1) if mul_tna_b(n) != tna_b_by_recurrence(n)]
+    powers = tna_b_by_recurrence(n_max)
+    bad = [n for n, power in enumerate(powers) if mul_tna_b(n) != power]
     verdict = f"mismatches at {bad}" if bad else "all equal"
     summary = f"closed form vs recurrence, n <= {n_max}: {verdict}"
     return CheckReport("tna-b", n_max, summary, bad)
@@ -507,8 +498,8 @@ def _h_positive_check(n_max: int) -> CheckReport:
     summary = "remainder positivity observations (monomial peripheral coordinates), "
     summary += f"1 <= n <= {n_max}:"
     rows = []
-    for n in range(1, n_max + 1):
-        positive = all(c.is_positive() for _, c in h_part(n).items())
+    for n, h in enumerate(h_part(n_max)[1:], start=1):
+        positive = all(c.is_positive() for _, c in h.items())
         rows.append({"n": n, "all_positive": positive})
         verdict = "positive" if positive else "has negative coefficients"
         summary += f"\nn={n}: {verdict}"

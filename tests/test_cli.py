@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,7 +131,7 @@ def test_s04_mul_and_json(capsys):
     code, out = run(capsys, "s04", "mul", "S(2,1)", "S(0,1)", "--json")
     assert code == 0
     elem = skein_s04.element_from_json(json.loads(out))
-    assert elem == skein_s04.mul_sn1_s01(2)
+    assert elem == skein_s04.mul_sn1_s01(2)[2]
     code, out = run(capsys, "s04", "mul", "T(3,0)", "T(0,1)", "--json")
     assert code == 0
     elem = skein_s04.element_from_json(json.loads(out))
@@ -302,3 +306,37 @@ def test_least_n_max_is_accepted(capsys, surface, name, least):
     # The least n_max of a check row is the smallest range with an index.
     assert main([surface, "verify", name, "--n-max", str(least)]) == 0
     assert capsys.readouterr().err == ""
+
+
+NO_ELEMENT_SURVIVES = r"""
+import contextlib, gc, io, json
+from skeinalg import cli, skein_ptorus, skein_s04
+from skeinalg.elements import SkeinElement
+
+calls = [["ptor", "verify", name, "--n-max", "6"] for name in skein_ptorus.CHECKS]
+calls += [["s04", "verify", name, "--n-max", "6"] for name in skein_s04.CHECKS]
+calls += [["s04", "extract", "--n", "6"], ["s04", "mul", "S(6,1)", "S(0,1)"]]
+codes = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+gc.collect()
+alive = sum(isinstance(obj, SkeinElement) for obj in gc.get_objects())
+print(json.dumps({"codes": codes, "alive": alive}))
+"""
+
+
+def test_no_element_outlives_a_call():
+    # Memory is bounded by the current call: once the tower checks, the
+    # extraction and a tower product have returned, no element is left.
+    # A fresh interpreter keeps other tests' state out of the count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_ELEMENT_SURVIVES],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 8, "alive": 0}

@@ -2,7 +2,6 @@ import sys
 
 import pytest
 
-from skeinalg import skein_s04
 from skeinalg.curves import curve
 from skeinalg.elements import NoProductRuleError, SkeinElement, single
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
@@ -89,8 +88,9 @@ def test_mul_tna_b_examples():
 
 
 def test_mul_tna_b_matches_recurrence():
+    powers = tna_b_by_recurrence(15)
     for n in range(16):
-        assert mul_tna_b(n) == tna_b_by_recurrence(n)
+        assert mul_tna_b(n) == powers[n]
 
 
 def test_mul_by_a_rejects_unknown_labels():
@@ -144,10 +144,10 @@ def test_g_s04_closed_examples():
 
 
 def test_mul_sn1_s01_base_cases():
-    full0, h0 = mul_sn1_s01(0), h_part(0)
+    full0, h0 = mul_sn1_s01(0)[0], h_part(0)[0]
     assert full0 == _elem((slabel(0, 2), ONE), (S04Label(None), ONE))
     assert h0.is_zero
-    full1, h1 = mul_sn1_s01(1), h_part(1)
+    full1, h1 = mul_sn1_s01(1)[1], h_part(1)[1]
     assert full1 == _elem(
         (slabel(1, 2), q_power(2)),
         (slabel(1, 0), q_power(-2)),
@@ -157,11 +157,10 @@ def test_mul_sn1_s01_base_cases():
     assert h1 == gamma_pair_ab()
 
 
-def test_mul_sn1_s01_needs_no_call_depth(monkeypatch):
-    # From an empty memo, n = 30 must fit in a stack only a little deeper
-    # than one product needs: the memo is filled upward, not by recursion.
+def test_mul_sn1_s01_needs_no_call_depth():
+    # n = 30 must fit in a stack only a little deeper than one product
+    # needs: the tower is built upward, not by recursion.
     want = mul_sn1_s01(30)
-    monkeypatch.setattr(skein_s04, "_SN1_CACHE", {})
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
@@ -175,7 +174,7 @@ def test_mul_sn1_s01_needs_no_call_depth(monkeypatch):
 
 
 def test_mul_sn1_s01_n2_remainder():
-    h2 = h_part(2)
+    h2 = h_part(2)[2]
     expected = gamma_quad() + _elem(
         (S04Label(curve(1, 0), (1, 1, 0, 0)), q_power(-2)),
         (S04Label(curve(1, 0), (0, 0, 1, 1)), q_power(-2)),
@@ -183,21 +182,22 @@ def test_mul_sn1_s01_n2_remainder():
     assert h2 == expected
 
 
-def test_decomposition_reassembles():
-    for n in range(0, 15):
-        full, h = mul_sn1_s01(n), h_part(n)
-        lead = _elem(
-            (slabel(n, 2), q_power(2 * n)), (slabel(n, 0), q_power(-2 * n))
-        ) if n else _elem((slabel(0, 2), ONE), (S04Label(None), ONE))
-        if n:
-            assert full == lead + g_s04_closed(n) + h
-        else:
-            assert full == lead
+def _slope_part(elem, s):
+    return _elem(*((lab, c) for lab, c in elem.items() if lab.slope is not None and lab.slope.s == s))
+
+
+def test_slope_parts_are_lead_and_closed_form():
+    # The (k,1) part of the product is g_n and the (k,2) part is q^2n (n,2);
+    # the remainder h_n is what is left, so it cannot be tested this way.
+    for n, full in enumerate(mul_sn1_s01(14)):
+        assert _slope_part(full, 1) == g_s04_closed(n), n
+        assert _slope_part(full, 2) == _elem((slabel(n, 2), q_power(2 * n))), n
 
 
 def test_h_structure():
+    remainders = h_part(20)
     for n in range(1, 21):
-        h = h_part(n)
+        h = remainders[n]
         for label, c in h.items():
             assert label.slope is None or label.slope.s == 0, (n, label.text())
             rng = c.q_degree_range()
@@ -261,5 +261,5 @@ def test_p1_forcing_element_structure():
 
 
 def test_element_json_round_trip():
-    e = mul_sn1_s01(3)
+    e = mul_sn1_s01(3)[3]
     assert element_from_json(e.to_json_obj()) == e
