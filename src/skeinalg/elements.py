@@ -3,7 +3,9 @@
 A skein element is a finite sum of surface-specific labels with Laurent
 coefficients, tagged with the surface and the basis flavor (the name of the
 polynomial sequence its labels are read in).  Labels are small frozen values
-providing ``sort_key``, ``text`` and ``json_obj``.
+providing ``sort_key``, ``text`` and ``json_obj``, an optional ``slope``,
+the tuple ``periph`` of peripheral exponents and ``of(slope, periph)``,
+which builds a label of the same kind.
 
 Elements are canonical (no zero coefficients) and treated as immutable;
 every operation returns a new value.
@@ -13,9 +15,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .curves import CurveClass
+from .curves import CurveClass, gcd_decompose
 from .laurent import Laurent, ZERO, q_power
-from .polyseq import Poly1, PolySeq, expand_in
+from .polyseq import Poly1, PolySeq, builtin_sequence, expand_in, expansion_coeffs
 
 __all__ = [
     "SkeinElement",
@@ -25,9 +27,11 @@ __all__ = [
     "single",
     "q_pair",
     "combine",
+    "convert",
     "instantiate",
     "route",
     "split_by_q_exponent",
+    "lowest_q_layer",
 ]
 
 
@@ -216,6 +220,63 @@ def instantiate(
     return SkeinElement(surface, basis.name, terms)
 
 
+# The product flavors of a surface that read peripheral exponents as plain
+# monomials, not in the flavor; ``convert`` would misread them.
+_MONOMIAL_PERIPHERALS = {"s04": ("s", "that")}
+
+
+def convert(
+    elem: SkeinElement, target: PolySeq, source: PolySeq | None = None
+) -> SkeinElement:
+    """Exact change of basis flavor.
+
+    Every exponent of a label is read in the flavor: a slope of
+    multiplicity d carries the source sequence's degree-d entry on its
+    primitive curve, and a peripheral exponent e the degree-e entry on its
+    peripheral curve.  Each entry is rewritten over the target sequence,
+    its degree-k term landing on exponent k; a slope of exponent 0 is the
+    empty slope.
+    """
+    if source is None:
+        source = builtin_sequence(elem.flavor)
+    if source.name != elem.flavor:
+        raise ValueError(
+            f"element flavor {elem.flavor!r} does not match source {source.name!r}"
+        )
+    if not target.normalized:
+        raise ValueError(f"target sequence {target.name!r} is not normalized")
+    for name in (source.name, target.name):
+        if name in _MONOMIAL_PERIPHERALS.get(elem.surface, ()):
+            raise ValueError(
+                f"cannot convert {elem.surface!r} elements in the {name!r} "
+                "flavor: it reads peripheral exponents as monomials"
+            )
+    terms = []
+    for label, c in elem._terms.items():
+        # (peripheral exponents, coefficient) pairs, each exponent re-read.
+        periphs = [(label.periph, c)]
+        for i, e in enumerate(label.periph):
+            if e:
+                coeffs = expansion_coeffs(source, target, e)
+                periphs = [
+                    (p[:i] + (j,) + p[i + 1 :], pc * cj)
+                    for p, pc in periphs
+                    for j, cj in enumerate(coeffs)
+                    if not cj.is_zero
+                ]
+        of = label.of
+        if label.slope is None:
+            terms += [(of(None, p), pc) for p, pc in periphs]
+            continue
+        d, prim = gcd_decompose(label.slope)
+        for k, ck in enumerate(expansion_coeffs(source, target, d)):
+            if not ck.is_zero:
+                slope = None if k == 0 else prim.scaled(k)
+                for p, pc in periphs:
+                    terms.append((of(slope, p), pc * ck))
+    return SkeinElement(elem.surface, target.name, terms)
+
+
 class ProductRule(NamedTuple):
     """One row of a surface's product table: a proved family of label
     products, the shape test on the two labels, the rule
@@ -255,3 +316,11 @@ def split_by_q_exponent(elem: SkeinElement) -> dict[int, SkeinElement]:
         e: SkeinElement(elem.surface, elem.flavor, pairs)
         for e, pairs in buckets.items()
     }
+
+
+def lowest_q_layer(elem: SkeinElement) -> tuple[int, SkeinElement]:
+    """The lowest q-exponent of a nonzero element and its bucket of
+    ``split_by_q_exponent``."""
+    buckets = split_by_q_exponent(elem)
+    low = min(buckets)
+    return low, buckets[low]

@@ -40,7 +40,6 @@ from operator import ne
 from .curves import (
     CurveClass,
     curve,
-    gcd_decompose,
     intersection_number,
     parse_power,
     parse_slope,
@@ -50,11 +49,12 @@ from .elements import (
     ProductRule,
     SkeinElement,
     combine,
+    convert,
     instantiate,
+    lowest_q_layer,
     q_pair,
     route,
     single,
-    split_by_q_exponent,
 )
 from .laurent import Laurent, ONE, q_power
 from .polyseq import (
@@ -63,9 +63,7 @@ from .polyseq import (
     Poly1,
     PolySeq,
     X,
-    builtin_sequence,
     expand_in,
-    expansion_coeffs,
 )
 from .reports import Check, CheckReport
 
@@ -103,6 +101,14 @@ class PTorusLabel:
     def __post_init__(self):
         if self.u < 0:
             raise ValueError("U-power must be nonnegative")
+
+    @property
+    def periph(self) -> tuple[int]:
+        return (self.u,)
+
+    @staticmethod
+    def of(slope: CurveClass | None, periph: tuple[int]) -> "PTorusLabel":
+        return PTorusLabel(slope, *periph)
 
     def sort_key(self):
         if self.slope is None:
@@ -383,44 +389,6 @@ CHECKS = {
 }
 
 
-def convert(
-    elem: SkeinElement, target: PolySeq, source: PolySeq | None = None
-) -> SkeinElement:
-    """Change basis flavor componentwise: the slope polynomial and the
-    U-power are each re-expanded over the target sequence."""
-    if elem.surface != SURFACE:
-        raise ValueError("convert expects a punctured-torus element")
-    if source is None:
-        source = builtin_sequence(elem.flavor)
-    if source.name != elem.flavor:
-        raise ValueError(
-            f"element flavor {elem.flavor!r} does not match source "
-            f"{source.name!r}"
-        )
-    if not target.normalized:
-        raise ValueError(f"target sequence {target.name!r} is not normalized")
-    unit = (ONE,)
-    terms = []
-    for label, c in elem.items():
-        if label.slope is None:
-            slope_parts = [(0, ONE)]
-            prim = None
-        else:
-            d, prim = gcd_decompose(label.slope)
-            slope_parts = [
-                (k, ck)
-                for k, ck in enumerate(expansion_coeffs(source, target, d))
-                if not ck.is_zero
-            ]
-        u_coeffs = unit if label.u == 0 else expansion_coeffs(source, target, label.u)
-        u_parts = [(j, cj) for j, cj in enumerate(u_coeffs) if not cj.is_zero]
-        for k, ck in slope_parts:
-            slope = None if k == 0 else prim.scaled(k)
-            for j, cj in u_parts:
-                terms.append((PTorusLabel(slope, j), c * ck * cj))
-    return SkeinElement(SURFACE, target.name, terms)
-
-
 def upper_bound_extract(P: PolySeq, n: int) -> tuple[int, SkeinElement]:
     """Rewrite (n,1)*(0,1) in flavor P and return its lowest q-layer.
 
@@ -437,10 +405,7 @@ def upper_bound_extract(P: PolySeq, n: int) -> tuple[int, SkeinElement]:
                     f"sequence {P.name!r} has q-dependent coefficients at "
                     f"degree {k}"
                 )
-    converted = convert(mul_tn1_t01(n), P, THAT)
-    buckets = split_by_q_exponent(converted)
-    low = min(buckets)
-    return low, buckets[low]
+    return lowest_q_layer(convert(mul_tn1_t01(n), P, THAT))
 
 
 def label_from_text(text: str) -> PTorusLabel:

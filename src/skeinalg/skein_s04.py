@@ -34,22 +34,22 @@ observes the signs of the remainders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .curves import CurveClass, curve, parse_power, parse_slope, sigma
 from .elements import (
     ProductRule,
     SkeinElement,
     combine,
+    convert,
     instantiate,
+    lowest_q_layer,
     q_pair,
     route,
     single,
-    split_by_q_exponent,
     zero,
 )
 from .laurent import Laurent, ONE, const, q_power, quantum_int
-from .polyseq import CHEB_S, X, builtin_sequence
+from .polyseq import CHEB_S, MONOMIAL, Poly1, PolySeq, X, builtin_sequence
 from .reports import Check, CheckReport
 
 __all__ = [
@@ -95,6 +95,14 @@ class S04Label:
         if len(self.g) != 4 or any(e < 0 for e in self.g):
             raise ValueError("peripheral exponents must be four nonnegative ints")
         object.__setattr__(self, "g", tuple(int(e) for e in self.g))
+
+    @property
+    def periph(self) -> tuple[int, int, int, int]:
+        return self.g
+
+    @staticmethod
+    def of(slope: CurveClass | None, periph: tuple[int, int, int, int]) -> "S04Label":
+        return S04Label(slope, periph)
 
     def sort_key(self):
         if self.slope is None:
@@ -337,19 +345,18 @@ def h_part(n: int) -> list[SkeinElement]:
     return remainders
 
 
-def lowest_q_term_s04(n: int) -> tuple[int, SkeinElement]:
-    """Lowest q-layer of (n,1)*(0,1); equals (-2n, the (n,0) label) for
-    every supported n >= 1."""
+def lowest_q_term_s04(n: int) -> list[tuple[int, SkeinElement]]:
+    """Lowest q-layers of (k,1)*(0,1) for k = 1..n; the layer at k equals
+    (-2k, the (k,0) label) for every supported k."""
     if n < 1:
         raise ValueError("need n >= 1")
-    buckets = split_by_q_exponent(mul_sn1_s01(n)[-1])
-    low = min(buckets)
-    return low, buckets[low]
+    return [lowest_q_layer(full) for full in mul_sn1_s01(n)[1:]]
 
 
 def extract_lowest_s04(n: int) -> tuple[int, SkeinElement, bool]:
-    """``lowest_q_term_s04(n)`` and whether it is q^-2n times (n,0)."""
-    low, elem = lowest_q_term_s04(n)
+    """The last entry of ``lowest_q_term_s04(n)`` and whether it is q^-2n
+    times (n,0)."""
+    low, elem = lowest_q_term_s04(n)[-1]
     want = single(SURFACE, "s", S04Label(curve(n, 0)))
     return low, elem, low == -2 * n and elem == want
 
@@ -554,33 +561,6 @@ class ForcingReport:
         }
 
 
-def _components(label: S04Label) -> list[S04Label]:
-    """Single-component labels making up a multiplicity-one multicurve."""
-    comps = []
-    if label.slope is not None:
-        if label.slope.d != 1:
-            raise ValueError("expansion needs primitive slope components")
-        comps.append(S04Label(label.slope))
-    for i, e in enumerate(label.g):
-        if e > 1:
-            raise ValueError("expansion needs peripheral exponents <= 1")
-        if e == 1:
-            g = [0, 0, 0, 0]
-            g[i] = 1
-            comps.append(S04Label(None, tuple(g)))
-    return comps
-
-
-def _merge(labels: list[S04Label]) -> S04Label:
-    slope = None
-    g = [0, 0, 0, 0]
-    for lab in labels:
-        if lab.slope is not None:
-            slope = lab.slope
-        g = [a + b for a, b in zip(g, lab.g)]
-    return S04Label(slope, tuple(g))
-
-
 def p1_forcing_witness(delta: int) -> ForcingReport:
     """Expand the product of the perturbed linear entries on the (1,0) and
     (0,1) curves in the perturbed basis, and report the sign obstruction.
@@ -592,24 +572,14 @@ def p1_forcing_witness(delta: int) -> ForcingReport:
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    flavor = f"p1[{delta}]"
     a_lab = S04Label(curve(1, 0))
     b_lab = S04Label(curve(0, 1))
-    # (curve a + delta)(curve b + delta), written over plain multicurves.
-    raw = mul_a_bn(0, flavor)
-    raw = raw + single(SURFACE, flavor, a_lab, delta) + single(SURFACE, flavor, b_lab, delta)
-    raw = raw + single(SURFACE, flavor, S04_EMPTY, delta * delta)
-    # Rewrite each multicurve over the perturbed basis: a component c is
-    # the basis factor minus delta, so a product over components expands by
-    # inclusion-exclusion over the components dropped.
-    terms = []
-    for label, c in raw.items():
-        comps = _components(label)
-        for size in range(len(comps) + 1):
-            for kept in combinations(comps, len(comps) - size):
-                coeff = c * const((-delta) ** size)
-                terms.append((_merge(list(kept)), coeff))
-    elem = SkeinElement(SURFACE, flavor, terms)
+    # (curve a + delta)(curve b + delta), written over plain multicurves,
+    # then read in the perturbed basis 1, x + delta.
+    linear = [(a_lab, delta), (b_lab, delta), (S04_EMPTY, delta * delta)]
+    raw = mul_a_bn(0, "monomial") + SkeinElement(SURFACE, "monomial", linear)
+    p1 = [Poly1.const(1), X + Poly1.const(delta)]
+    elem = convert(raw, PolySeq.from_polys(f"p1[{delta}]", p1), MONOMIAL)
     gamma_label = S04Label(None, (1, 0, 0, 0))
     slope_label = a_lab
     violations = [

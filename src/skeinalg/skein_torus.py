@@ -17,11 +17,12 @@ product rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .curves import CurveClass, MappingClass, curve, gcd_decompose, parse_slope
-from .elements import SkeinElement, combine, single
+from .curves import CurveClass, MappingClass, curve, parse_slope
+from .elements import SkeinElement, combine, convert, single
 from .laurent import Laurent, q_power
-from .polyseq import THAT, PolySeq, builtin_sequence, expansion_coeffs
+from .polyseq import THAT, PolySeq
 from .reports import (
     VERDICT_POSITIVE,
     VERDICT_VIOLATION,
@@ -51,6 +52,11 @@ SURFACE = "t10"
 @dataclass(frozen=True)
 class TorusLabel:
     slope: CurveClass | None = None
+    periph: ClassVar[tuple] = ()
+
+    @staticmethod
+    def of(slope: CurveClass | None, periph: tuple) -> "TorusLabel":
+        return TorusLabel(slope)
 
     def sort_key(self):
         if self.slope is None:
@@ -103,40 +109,6 @@ def mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
         "that",
         ((fg_mul(la, lb), ca * cb) for la, ca in x.items() for lb, cb in y.items()),
     )
-
-
-def convert(
-    x: SkeinElement, target: PolySeq, source: PolySeq | None = None
-) -> SkeinElement:
-    """Exact change of basis flavor.
-
-    A label of multiplicity d carries the source sequence's degree-d entry
-    on its primitive curve; rewriting that entry over the target sequence
-    maps degree-k terms to the label k * primitive and the constant term to
-    the empty label.
-    """
-    if x.surface != SURFACE:
-        raise ValueError("convert expects a torus element")
-    if source is None:
-        source = builtin_sequence(x.flavor)
-    if source.name != x.flavor:
-        raise ValueError(
-            f"element flavor {x.flavor!r} does not match source {source.name!r}"
-        )
-    if not target.normalized:
-        raise ValueError(f"target sequence {target.name!r} is not normalized")
-    terms = []
-    for label, c in x.items():
-        if label.slope is None:
-            terms.append((EMPTY, c))
-            continue
-        d, prim = gcd_decompose(label.slope)
-        for k, ck in enumerate(expansion_coeffs(source, target, d)):
-            if ck.is_zero:
-                continue
-            new = EMPTY if k == 0 else TorusLabel(prim.scaled(k))
-            terms.append((new, c * ck))
-    return SkeinElement(SURFACE, target.name, terms)
 
 
 def structure_constants(P: PolySeq, a: TorusLabel, b: TorusLabel) -> SkeinElement:

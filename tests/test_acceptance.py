@@ -124,8 +124,9 @@ def test_criterion_08_sphere_remainder_structure():
 
 
 def test_criterion_09_sphere_lowest_term():
-    for n in range(1, 21):
-        low, elem = lowest_q_term_s04(n)
+    layers = lowest_q_term_s04(20)
+    assert len(layers) == 20
+    for n, (low, elem) in enumerate(layers, start=1):
         assert low == -2 * n
         assert elem == single(S04_SURFACE, "s", slabel(n, 0))
     _ok(9, "lowest q-layer of the sphere product is q^-2n times (n,0), n <= 20")

@@ -1,7 +1,9 @@
-"""Byte-level goldens for ``ptor mul`` and ``s04 mul``.
+"""Byte-level goldens for ``ptor mul``, ``s04 mul`` and ``tor mul``.
 
 Each routed product's stdout is pinned by SHA-256, in text and in JSON,
-so moving the routing between modules cannot change what users see.
+so moving the routing between modules cannot change what users see.  The
+``tor mul`` rows read one product in bases other than the type-one one,
+so they pin the change of basis both ways.
 """
 
 import contextlib
@@ -63,6 +65,22 @@ GOLDENS = [
      "fffb2e7f632828316dedf40ca3228350ad290cabb5cc790fa3625dc0fc6ab4bc"),
 ]
 
+# `tor mul "(3,1)" "(2,2)" --basis B`: (basis, exit code, text SHA-256, JSON
+# SHA-256).  The file basis is named by a relative path, because the JSON
+# carries the basis name.
+SEQUENCE_FILE = "0: 1\n1: 0 1\n2: 3q^-2+1 0 1\n3: 0 2q^2-1 0 1\n4: q^-4 0 q^-2+2 0 1\n"
+TOR_GOLDENS = [
+    ("s", 0,
+     "5412b81fa791716aa85169f5a32089e700c37a41255c5b2274082d061e5a7ad7",
+     "e414ae42a0b6152cef68c6c20afba828dfc7eaabe84223a8ccd99cd007f47758"),
+    ("monomial", 0,
+     "704c1348dd2a94acefd5a365193b9da29a920074a0ddf21713423a884d665ad5",
+     "44fad3ed121ca4d7ce1455f34426320ef3fca30a778a565bec077d068e6bb178"),
+    ("file:seq.txt", 0,
+     "764524a56a21faf4c813aa8c9701e5391fb0f3ffd12bcb5f11696c3ba35d50f8",
+     "de5e5c4706382df0743fa5f09244f3dbe3947340679f237835e64bf6d38dcb5d"),
+]
+
 
 def _stdout(*argv) -> tuple[int, str]:
     out = io.StringIO()
@@ -83,3 +101,13 @@ def test_mul_stdout_golden(surface, a, b, text_sha, json_sha):
 def test_mul_type_one_power_of_10(surface):
     # T̂_1 T̂_2 = T̂_3 + T̂_1 on the (1,0) curve.
     assert _stdout(surface, "mul", "T(1,0)", "T(2,0)") == (0, "(1,0) + (3,0)\n")
+
+
+@pytest.mark.parametrize("basis,code,text_sha,json_sha", TOR_GOLDENS)
+def test_tor_mul_basis_golden(tmp_path, monkeypatch, basis, code, text_sha, json_sha):
+    (tmp_path / "seq.txt").write_text(SEQUENCE_FILE)
+    monkeypatch.chdir(tmp_path)
+    argv = ["tor", "mul", "(3,1)", "(2,2)", "--basis", basis]
+    for extra, want in (((), text_sha), (("--json",), json_sha)):
+        got_code, out = _stdout(*argv, *extra)
+        assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, want)

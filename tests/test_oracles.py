@@ -1,0 +1,175 @@
+"""Arithmetic against sympy as an independent oracle, and fuzzing of the
+text parsers and of the CLI's handling of bad input."""
+
+import contextlib
+import io
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from skeinalg import skein_ptorus, skein_s04, skein_torus
+from skeinalg.cli import main
+from skeinalg.curves import parse_slope
+from skeinalg.laurent import Laurent, parse_laurent
+from skeinalg.polyseq import (
+    CHEB_S,
+    MONOMIAL,
+    THAT,
+    Poly1,
+    expand_in,
+    parse_sequence_table,
+    substitute_t,
+)
+
+q, x, t = sympy.symbols("q x t")
+
+laurents = st.dictionaries(
+    st.integers(-8, 8), st.integers(-(2**70), 2**70), max_size=5
+).map(Laurent)
+small_laurents = st.dictionaries(
+    st.integers(-3, 3), st.integers(-5, 5), max_size=3
+).map(Laurent)
+polys = st.lists(small_laurents, max_size=5).map(Poly1)
+int_polys = st.lists(st.integers(-9, 9), max_size=7).map(Poly1)
+
+# The builtin bases written with sympy's Chebyshev polynomials:
+# S_n(x) = U_n(x/2), and T̂_n(x) = 2 T_n(x/2) except T̂_0 = 1.
+SYMPY_BASES = {
+    "monomial": (MONOMIAL, lambda k: x**k),
+    "s": (CHEB_S, lambda k: sympy.chebyshevu(k, x / 2)),
+    "that": (THAT, lambda k: 1 if k == 0 else 2 * sympy.chebyshevt(k, x / 2)),
+}
+
+oracle = settings(max_examples=60, deadline=None)
+
+
+def _sym(p: Laurent, var=q):
+    return sum((c * var**e for e, c in p.items()), sympy.Integer(0))
+
+
+def _sym_poly(p: Poly1):
+    return sum((_sym(c) * x**k for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _equal(a, b) -> bool:
+    return sympy.expand(a - b) == 0
+
+
+@oracle
+@given(laurents, laurents)
+def test_laurent_ring_ops_match_sympy(a, b):
+    assert _equal(_sym(a + b), _sym(a) + _sym(b))
+    assert _equal(_sym(a - b), _sym(a) - _sym(b))
+    assert _equal(_sym(a * b), _sym(a) * _sym(b))
+
+
+@oracle
+@given(polys, polys)
+def test_poly1_product_matches_sympy(a, b):
+    assert _equal(_sym_poly(a * b), _sym_poly(a) * _sym_poly(b))
+
+
+@oracle
+@given(polys, st.sampled_from(sorted(SYMPY_BASES)))
+def test_expand_in_reconstructs_over_sympy_basis(p, name):
+    basis, entry = SYMPY_BASES[name]
+    coeffs = expand_in(p, basis)
+    assert len(coeffs) == p.degree + 1
+    rebuilt = sum((_sym(c) * entry(k) for k, c in enumerate(coeffs)), sympy.Integer(0))
+    assert _equal(rebuilt, _sym_poly(p))
+
+
+@oracle
+@given(int_polys)
+def test_substitute_t_matches_sympy(p):
+    want = _sym_poly(p).subs(x, t + 1 / t)
+    assert _equal(_sym(substitute_t(p), t), want)
+
+
+@given(laurents)
+def test_laurent_text_round_trip(p):
+    assert parse_laurent(str(p)) == p
+
+
+# -- fuzzing: a parser may refuse text only with a ValueError -------------------
+
+PARSERS = {
+    "parse_laurent": parse_laurent,
+    "parse_slope": parse_slope,
+    "parse_sequence_table": lambda text: parse_sequence_table(text, "fuzz"),
+    "torus label": skein_torus.label_from_text,
+    "punctured-torus label": skein_ptorus.label_from_text,
+    "sphere operand": skein_s04.operand_from_text,
+}
+
+_GRAMMAR = "0123456789-+^q:,()# \nTSUg"
+texts = st.one_of(st.text(max_size=40), st.text(alphabet=_GRAMMAR, max_size=40))
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@given(text=texts)
+def test_parsers_raise_only_value_error(name, text):
+    try:
+        PARSERS[name](text)
+    except ValueError:
+        pass
+
+
+# -- the CLI answers bad input with one error line and exit 1 ------------------
+
+BAD_LABELS = [
+    ("tor", "(1,", "(0,1)"),
+    ("tor", "(0,0)", "(0,1)"),
+    ("tor", "(1,x)", "1"),
+    ("ptor", "T(1,x)", "U"),
+    ("ptor", "U^0", "U"),
+    ("ptor", "(1,0)", "U"),
+    ("s04", "g5", "S(1,0)"),
+    ("s04", "g1^-1", "S(0,1)"),
+    ("s04", "S(1,0", "S(0,1)"),
+    ("s04", "X(1,0)", "S(0,1)"),
+]
+
+BAD_FILES = {
+    "not-monic": b"0: 1\n1: 0 2\n",
+    "missing-index": b"0: 1\n2: 0 0 1\n",
+    "bad-index": b"x: 1\n",
+    "bad-literal": b"0: 1\n1: q^ 1\n",
+    "empty": b"",
+    "duplicate": b"0: 1\n0: 1\n",
+    "too-short": b"0: 1\n1: 0 1\n",
+    "not-utf8": b"0: 1\n1: 0 \xff\n",
+}
+
+
+def _run(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("surface,a,b", BAD_LABELS)
+def test_cli_bad_label(surface, a, b):
+    _assert_one_error_line(*_run(surface, "mul", a, b))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_cli_bad_sequence_file(tmp_path, name):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(BAD_FILES[name])
+    argv = ["tor", "mul", "(2,1)", "(0,1)", "--basis", f"file:{path}"]
+    _assert_one_error_line(*_run(*argv))
+
+
+def test_cli_unreadable_sequence_file(tmp_path):
+    _assert_one_error_line(*_run("order", "leq", f"file:{tmp_path}", "s"))
+    _assert_one_error_line(*_run("order", "leq", f"file:{tmp_path / 'none'}", "s"))

@@ -157,6 +157,25 @@ def test_convert_round_trip():
     assert convert(there, THAT, CHEB_S) == e
 
 
+def test_convert_reads_u_powers_in_the_flavor():
+    # T̂_2 = S_2 - S_0 and T̂_3 = S_3 - S_1, on U as on a slope.
+    for u, lower in ((2, 0), (3, 1)):
+        e = _elem((plabel(1, 0, u=u), ONE))
+        there = convert(e, CHEB_S, THAT)
+        assert there == _elem(
+            (plabel(1, 0, u=u), ONE), (plabel(1, 0, u=lower), const(-1)), flavor="s"
+        )
+        assert convert(there, THAT, CHEB_S) == e
+    # Both exponents at once: T̂_2(a) T̂_2(U) = (S_2(a) - 1)(S_2(U) - 1).
+    both = convert(_elem((plabel(2, 0, u=2), ONE)), CHEB_S, THAT)
+    assert both == _elem(
+        (plabel(2, 0, u=2), ONE),
+        (plabel(2, 0), const(-1)),
+        (PTorusLabel(None, 2), const(-1)),
+        (PT_EMPTY, ONE),
+        flavor="s",
+    )
+
 def test_upper_bound_extract_type_two():
     for n in range(1, 13):
         low, elem = upper_bound_extract(CHEB_S, n)

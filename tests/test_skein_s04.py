@@ -1,11 +1,14 @@
 import sys
+from itertools import combinations
 
 import pytest
 
 from skeinalg.curves import curve
-from skeinalg.elements import NoProductRuleError, SkeinElement, single
+from skeinalg.elements import NoProductRuleError, SkeinElement, convert, single
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
+from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_s04 import (
+    S04_EMPTY,
     S04Label,
     SURFACE,
     apply_sigma,
@@ -206,8 +209,10 @@ def test_h_structure():
 
 
 def test_lowest_q_term():
-    for n in (1, 2, 5, 12):
-        low, elem = lowest_q_term_s04(n)
+    assert len(lowest_q_term_s04(1)) == 1
+    layers = lowest_q_term_s04(12)
+    assert len(layers) == 12
+    for n, (low, elem) in enumerate(layers, start=1):
         assert low == -2 * n
         assert elem == single(SURFACE, "s", slabel(n, 0))
     with pytest.raises(ValueError):
@@ -259,6 +264,62 @@ def test_p1_forcing_element_structure():
     assert e.coeff(slabel(0, 1)) == ONE
     assert e.coeff(S04Label(None)) == parse_laurent("1-q^2-q^-2")
 
+
+def _components(label):
+    """Single-component labels making up a multiplicity-one multicurve."""
+    comps = []
+    if label.slope is not None:
+        assert label.slope.d == 1
+        comps.append(S04Label(label.slope))
+    for i, e in enumerate(label.g):
+        assert e <= 1
+        if e == 1:
+            g = [0, 0, 0, 0]
+            g[i] = 1
+            comps.append(S04Label(None, tuple(g)))
+    return comps
+
+
+def _merge(labels):
+    slope = None
+    g = [0, 0, 0, 0]
+    for lab in labels:
+        if lab.slope is not None:
+            slope = lab.slope
+        g = [a + b for a, b in zip(g, lab.g)]
+    return S04Label(slope, tuple(g))
+
+
+def _forcing_by_inclusion_exclusion(delta):
+    """The forcing element read in the basis 1, x + delta by hand: a
+    component c is the basis factor minus delta, so a product over
+    components expands by inclusion-exclusion over the components dropped."""
+    flavor = f"p1[{delta}]"
+    raw = mul_a_bn(0, flavor) + SkeinElement(
+        SURFACE,
+        flavor,
+        [(slabel(1, 0), delta), (slabel(0, 1), delta), (S04_EMPTY, delta * delta)],
+    )
+    terms = []
+    for label, c in raw.items():
+        comps = _components(label)
+        for size in range(len(comps) + 1):
+            for kept in combinations(comps, len(comps) - size):
+                terms.append((_merge(list(kept)), c * const((-delta) ** size)))
+    return SkeinElement(SURFACE, flavor, terms)
+
+
+@pytest.mark.parametrize("delta", [d for d in range(-5, 6) if d != 0])
+def test_p1_forcing_matches_inclusion_exclusion(delta):
+    assert p1_forcing_witness(delta).element == _forcing_by_inclusion_exclusion(delta)
+
+
+@pytest.mark.parametrize("source,target", [(CHEB_S, MONOMIAL), (MONOMIAL, THAT)])
+def test_convert_refuses_product_flavors(source, target):
+    # The s and that flavors read peripheral exponents as monomials.
+    elem = single(SURFACE, source.name, S04Label(curve(1, 0), (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="peripheral exponents as monomials"):
+        convert(elem, target, source)
 
 def test_element_json_round_trip():
     e = mul_sn1_s01(3)[3]

@@ -1,5 +1,5 @@
-"""Byte-level goldens for ``ptor verify``, ``s04 verify`` and the two
-``extract`` commands.
+"""Byte-level goldens for ``ptor verify``, ``s04 verify``, the two
+``extract`` commands and ``s04 force-p1``.
 
 Each case pins the exit code and the SHA-256 of stdout, in text and in
 JSON.  Every check is pinned on its pass path and on a failure path, made
@@ -105,6 +105,24 @@ GOLDENS = [
     ("s04-extract-fails", ["s04", "extract", "--n", "5"], "mul_a_bn@1", 2,
      "c492cb392cf58d9990994cdd41634104d4b3f434f50b461c046591a3b76523b7",
      "2e619d6018dfc35410fa771554376fe558534310bebd105e0d52d78e50661f76"),
+    ("ptor-extract-monomial", ["ptor", "extract", "--seq", "monomial", "--n", "9"], None, 0,
+     "0c3c801ac42c3c0c4a02650c674a3e2c4c686fa75c573d122a8342344b9fe33a",
+     "191e9db766f9e5fd09894ddd1b51ab9cba0e24d3239dc26d635c5428fc853637"),
+    ("s04-force-p1-d-3", ["s04", "force-p1", "--delta=-3"], None, 2,
+     "e06e14e9ff6e67ce0b0f9d86dae148fc0b68d5994ef54d4864f839f7269384d3",
+     "a952e6766531a514105643d39f30421503393f96b84e73e914f177d960005e6d"),
+    ("s04-force-p1-d-1", ["s04", "force-p1", "--delta=-1"], None, 2,
+     "62546e6c468e2cb79422debdb7c4d231a7fe5e304a9bb10c044284365ddd6c7f",
+     "9b4f5d518c651e2619043d32658fa94f20425a9ac1da6ca1ec8706af28ed1a5d"),
+    ("s04-force-p1-d1", ["s04", "force-p1", "--delta=1"], None, 2,
+     "d751f5fa913226816b95cb3652d5d49ca31bf77470e4202cedf4a01d909c6507",
+     "3d3df059f7a72cca4903eac67bc566da48fc6792d1e5496bdb2da54823b31c0c"),
+    ("s04-force-p1-d2", ["s04", "force-p1", "--delta=2"], None, 2,
+     "b23e99e9ec77fcff8e6e623ff7806749680f3ada24d43312d72063ce26af7f79",
+     "e49d10b9c0c3c022503fff503a4031dfd961dd6d77c8bb51736c6dc022832042"),
+    ("s04-force-p1-d5", ["s04", "force-p1", "--delta=5"], None, 2,
+     "7b92b5d30fc6703a8bf144379ee0f56889e154c36b35bc70bb2c7e0830ee8110",
+     "8c8d6e4dde7ca4d9f29b1ed89348697666c33cc76a5a313a67a3df9a6984ce1e"),
 ]
 
 
