@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .laurent import ascii_int
+
 __all__ = [
     "CurveClass",
     "CurveSyntaxError",
@@ -99,11 +101,11 @@ def parse_slope(text: str) -> CurveClass:
     if len(pieces) != 2:
         raise CurveSyntaxError("expected exactly one ','", 1, text)
     try:
-        r = int(pieces[0].strip())
+        r = ascii_int(pieces[0].strip())
     except ValueError:
         raise CurveSyntaxError(f"bad integer {pieces[0].strip()!r}", 1, text) from None
     try:
-        sv = int(pieces[1].strip())
+        sv = ascii_int(pieces[1].strip())
     except ValueError:
         raise CurveSyntaxError(
             f"bad integer {pieces[1].strip()!r}", 2 + len(pieces[0]), text
@@ -121,9 +123,10 @@ def parse_power(text: str, head: str) -> int | None:
         return 1
     if t.startswith(head + "^"):
         tail = t[len(head) + 1 :]
-        if tail.isdigit() and int(tail) > 0:
+        if tail.isascii() and tail.isdigit() and int(tail) > 0:
             return int(tail)
-        raise ValueError(f"bad exponent in {text!r}")
+        start = len(text) - len(text.lstrip()) + len(head) + 1
+        raise CurveSyntaxError("bad exponent", start, text)
     return None
 
 

@@ -235,7 +235,8 @@ def convert(
     primitive curve, and a peripheral exponent e the degree-e entry on its
     peripheral curve.  Each entry is rewritten over the target sequence,
     its degree-k term landing on exponent k; a slope of exponent 0 is the
-    empty slope.
+    empty slope.  From a sequence to itself nothing is re-read, so a
+    slope of any multiplicity costs nothing.
     """
     if source is None:
         source = builtin_sequence(elem.flavor)
@@ -251,6 +252,8 @@ def convert(
                 f"cannot convert {elem.surface!r} elements in the {name!r} "
                 "flavor: it reads peripheral exponents as monomials"
             )
+    if source is target:
+        return elem.with_flavor(target.name)
     terms = []
     for label, c in elem._terms.items():
         # (peripheral exponents, coefficient) pairs, each exponent re-read.

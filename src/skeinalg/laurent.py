@@ -52,11 +52,23 @@ class Laurent:
         self._terms = {int(e): int(c) for e, c in (terms or {}).items() if c}
 
     @staticmethod
+    def _of(terms: dict[int, int]) -> "Laurent":
+        """The polynomial with the dict ``terms``, which it takes over.
+
+        Trusted, not checked: ``terms`` maps int exponents to nonzero int
+        coefficients and nobody else holds it.  Only the class's own methods
+        call it; everyone else goes through the validating constructor.
+        """
+        p = object.__new__(Laurent)
+        p._terms = terms
+        return p
+
+    @staticmethod
     def coerce(value: "Laurent | int") -> "Laurent":
         if isinstance(value, Laurent):
             return value
         if isinstance(value, int):
-            return Laurent({0: value})
+            return Laurent._of({0: int(value)} if value else {})
         raise TypeError(f"cannot interpret {value!r} as a Laurent polynomial")
 
     # -- structure ---------------------------------------------------------
@@ -79,35 +91,62 @@ class Laurent:
         return self._terms.get(exponent, 0)
 
     # -- ring operations ---------------------------------------------------
+    # Each operator builds a canonical dict and hands it to ``_of``: a zero
+    # sum is dropped where it arises, and no result is validated again.
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
-        other = Laurent.coerce(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Laurent(terms)
+        if not isinstance(other, Laurent):
+            other = Laurent.coerce(other)
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        terms = dict(a)
+        for e, c in b.items():
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return Laurent._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self._terms.items()})
+        return Laurent._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
-        return self + (-Laurent.coerce(other))
+        if not isinstance(other, Laurent):
+            other = Laurent.coerce(other)
+        terms = dict(self._terms)
+        for e, c in other._terms.items():
+            s = terms.get(e, 0) - c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return Laurent._of(terms)
 
     def __rsub__(self, other: "Laurent | int") -> "Laurent":
-        return (-self) + Laurent.coerce(other)
+        return Laurent.coerce(other) - self
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
-        other = Laurent.coerce(other)
-        if not self._terms or not other._terms:
+        if not isinstance(other, Laurent):
+            other = Laurent.coerce(other)
+        a, b = self._terms, other._terms
+        if not a or not b:
             return ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # A monomial factor shifts and scales: no sums, so no zeros.
+            ((e1, c1),) = a.items()
+            return Laurent._of({e1 + e: c1 * c for e, c in b.items()})
         terms: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Laurent(terms)
+        return Laurent._of({e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -149,7 +188,7 @@ class Laurent:
 
     def invert_q(self) -> "Laurent":
         """Apply the involution q -> q^-1."""
-        return Laurent({-e: c for e, c in self._terms.items()})
+        return Laurent._of({-e: c for e, c in self._terms.items()})
 
     # -- equality and display ----------------------------------------------
 
@@ -223,6 +262,17 @@ def quantum_int(i: int) -> Laurent:
     return Laurent({2 * i - 2 - 4 * k: 1 for k in range(i)})
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` for a literal of ASCII digits with an optional sign.
+
+    ``int`` alone also reads every other Unicode decimal digit and
+    underscores between digits; this raises ``ValueError`` on both.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 class LaurentSyntaxError(ValueError):
     """Raised on malformed Laurent literals, with the failing position."""
 
@@ -230,6 +280,10 @@ class LaurentSyntaxError(ValueError):
         super().__init__(f"{message} at position {position} in {text!r}")
         self.position = position
         self.text = text
+
+
+# Only ASCII digits: ``str.isdigit`` also holds for "٣" and "²".
+_DIGITS = "0123456789"
 
 
 def parse_laurent(text: str) -> Laurent:
@@ -250,7 +304,7 @@ def parse_laurent(text: str) -> Laurent:
         if k < n and s[k] in "+-":
             k += 1
         start_digits = k
-        while k < n and s[k].isdigit():
+        while k < n and s[k] in _DIGITS:
             k += 1
         if k == start_digits:
             raise LaurentSyntaxError("expected an integer", j, text)
@@ -266,7 +320,7 @@ def parse_laurent(text: str) -> Laurent:
             raise LaurentSyntaxError("expected '+' or '-'", i, text)
         first = False
         coeff = None
-        if i < n and s[i].isdigit():
+        if i < n and s[i] in _DIGITS:
             coeff, i = read_int(i)
         exponent = 0
         if i < n and s[i] == "q":

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .laurent import Laurent, ONE, ZERO, const, parse_laurent, q_power
+from .laurent import Laurent, ONE, ZERO, ascii_int, const, parse_laurent, q_power
 
 __all__ = [
     "Poly1",
@@ -57,6 +57,20 @@ class Poly1:
         self.coeffs: tuple[Laurent, ...] = tuple(cs)
 
     @staticmethod
+    def _of(cs: list[Laurent]) -> "Poly1":
+        """The polynomial with coefficient list ``cs``, which it takes over.
+
+        Trusted, not checked: every entry is a ``Laurent``.  Trailing zeros
+        are stripped.  Only the class's own operators call it; everyone
+        else goes through the coercing constructor.
+        """
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(Poly1)
+        p.coeffs = tuple(cs)
+        return p
+
+    @staticmethod
     def const(c: Laurent | int) -> "Poly1":
         return Poly1([c])
 
@@ -87,10 +101,10 @@ class Poly1:
         out = list(a)
         for k, c in enumerate(b):
             out[k] = out[k] + c
-        return Poly1(out)
+        return Poly1._of(out)
 
     def __neg__(self) -> "Poly1":
-        return Poly1([-c for c in self.coeffs])
+        return Poly1._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly1") -> "Poly1":
         return self + (-other)
@@ -102,11 +116,11 @@ class Poly1:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly1(out)
+        return Poly1._of(out)
 
     def scaled(self, c: Laurent | int) -> "Poly1":
         c = Laurent.coerce(c)
-        return Poly1([c * a for a in self.coeffs])
+        return Poly1._of([c * a for a in self.coeffs])
 
     def compose(self, inner: "Poly1") -> "Poly1":
         """Substitute another polynomial for x (Horner)."""
@@ -318,29 +332,35 @@ def substitute_t(p: Poly1) -> Laurent:
 def expand_in(p: Poly1, basis: PolySeq) -> list[Laurent]:
     """Coefficients (c_0..c_d) with p = sum c_k * basis_k, d = deg p.
 
-    Computed by exact descending elimination against the monic basis; the
-    expansion is unique.  Returns [] for the zero polynomial.
+    Computed by exact descending elimination against the monic basis, in
+    place on p's coefficient list: each step subtracts c_k * basis_k where
+    the basis entry is nonzero.  The expansion is unique.  Returns [] for
+    the zero polynomial.
     """
     if not basis.normalized:
         raise ValueError(f"basis {basis.name!r} is not normalized")
-    if p.is_zero:
-        return []
-    out = [ZERO] * (p.degree + 1)
-    work = p
-    for k in range(p.degree, -1, -1):
-        c = work.coeff(k)
-        if not c.is_zero:
+    work = list(p.coeffs)
+    out = [ZERO] * len(work)
+    for k in range(len(work) - 1, -1, -1):
+        c = work[k]
+        if c:
             out[k] = c
-            work = work - basis.poly(k).scaled(c)
-    if not work.is_zero:
+            for j, b in enumerate(basis.poly(k).coeffs):
+                if b:
+                    work[j] = work[j] - c * b
+    if any(work):
         raise AssertionError("descending elimination failed to terminate")
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def expansion_coeffs(src: PolySeq, dst: PolySeq, n: int) -> tuple[Laurent, ...]:
-    """Memoized expansion of src's degree-n entry over dst."""
-    if src is dst:
+    """Memoized expansion of src's degree-n entry over dst.
+
+    An entry the two sequences share expands to the unit vector, since the
+    expansion is unique; so does every entry when src is dst.
+    """
+    if src is dst or src.poly(n) == dst.poly(n):
         return tuple([ZERO] * n + [ONE])
     return tuple(expand_in(src.poly(n), dst))
 
@@ -400,7 +420,7 @@ def parse_sequence_table(text: str, name: str) -> PolySeq:
         if not sep:
             raise ValueError(f"{name}, line {lineno}: expected 'n: c0 c1 ... cn'")
         try:
-            n = int(head.strip())
+            n = ascii_int(head.strip())
         except ValueError:
             raise ValueError(
                 f"{name}, line {lineno}: bad index {head.strip()!r}"

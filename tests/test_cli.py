@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinalg import skein_ptorus, skein_s04, skein_torus
+from skeinalg import polyseq, skein_ptorus, skein_s04, skein_torus
 from skeinalg.cli import main
 
 GOLDEN_TOR_MUL = (
@@ -41,6 +41,25 @@ def test_tor_mul_text(capsys):
     code, out = run(capsys, "tor", "mul", "(2,1)", "(0,1)", "--basis", "that")
     assert code == 0
     assert out == "q^-2*(2,0) + q^2*(2,2)\n"
+
+
+def test_identity_conversion_reads_nothing(capsys):
+    # In the default flavor the operands and the product are already read
+    # in their own sequence: a slope of multiplicity 10^6 must not build or
+    # cache a 10^6-entry expansion.
+    cache = polyseq.expansion_coeffs
+    before = cache.cache_info().currsize
+    code, out = run(capsys, "tor", "mul", "(1000000,0)", "(0,1)")
+    assert code == 0
+    assert out == "q^-1000000*(-1000000,1) + q^1000000*(1000000,1)\n"
+    code, out = run(capsys, "tor", "mul", "(1000000,0)", "(0,1)", "--json")
+    assert code == 0
+    assert out == (
+        '{"surface":"t10","basis":"that","terms":'
+        '[{"label":"(-1000000,1)","coeff":{"-1000000":1}},'
+        '{"label":"(1000000,1)","coeff":{"1000000":1}}]}\n'
+    )
+    assert cache.cache_info().currsize == before
 
 
 def test_order_golden(capsys):

@@ -1,0 +1,217 @@
+"""Every fast path of the ring kernel and of change of basis against the
+reference it replaced: the Poly1-based elimination, expansion without the
+shared-entry shortcut, and results built through the public constructors."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skeinalg.laurent import ONE, ZERO, Laurent
+from skeinalg.polyseq import (
+    CHEB_S,
+    MONOMIAL,
+    THAT,
+    Poly1,
+    expand_in,
+    expansion_coeffs,
+    parse_sequence_table,
+)
+from skeinalg.positivity import perturbed_that
+
+check = settings(max_examples=80, deadline=None)
+
+
+def reference_expand_in(p: Poly1, basis) -> list[Laurent]:
+    """Descending elimination with whole-polynomial Poly1 arithmetic."""
+    if p.is_zero:
+        return []
+    out = [ZERO] * (p.degree + 1)
+    work = p
+    for k in range(p.degree, -1, -1):
+        c = work.coeff(k)
+        if not c.is_zero:
+            out[k] = c
+            work = work - basis.poly(k).scaled(c)
+    if not work.is_zero:
+        raise AssertionError("descending elimination failed to terminate")
+    return out
+
+
+small_laurents = st.dictionaries(
+    st.integers(-4, 4), st.integers(-6, 6), max_size=3
+).map(Laurent)
+monomials = st.tuples(st.integers(-6, 6), st.integers(-9, 9).filter(bool)).map(
+    lambda ec: Laurent({ec[0]: ec[1]})
+)
+laurents = st.one_of(small_laurents, monomials)
+
+
+def polys(max_degree: int):
+    return st.lists(laurents, max_size=max_degree + 1).map(Poly1)
+
+
+perturbations = st.integers(2, 6).flatmap(
+    lambda level: st.lists(st.integers(-3, 3), min_size=level, max_size=level)
+).map(lambda deltas: perturbed_that(len(deltas), tuple(deltas)))
+
+
+def _compact(c: Laurent) -> str:
+    return "".join(str(c).split())
+
+
+@st.composite
+def file_sequences(draw):
+    """A sequence table read from text, with q-dependent lower coefficients."""
+    top = draw(st.integers(1, 5))
+    lines = [
+        f"{n}: " + " ".join([_compact(draw(small_laurents)) for _ in range(n)] + ["1"])
+        for n in range(top + 1)
+    ]
+    return parse_sequence_table("\n".join(lines), "file:hypothesis")
+
+
+@check
+@given(polys(7), st.sampled_from([THAT, CHEB_S, MONOMIAL]))
+def test_expand_in_matches_reference_over_builtins(p, basis):
+    assert expand_in(p, basis) == reference_expand_in(p, basis)
+
+
+@check
+@given(perturbations, st.data())
+def test_expand_in_matches_reference_over_perturbations(P, data):
+    p = data.draw(polys(P.max_n))
+    assert expand_in(p, P) == reference_expand_in(p, P)
+    for n in range(P.max_n + 1):
+        assert expand_in(THAT.poly(n), P) == reference_expand_in(THAT.poly(n), P)
+        assert expand_in(P.poly(n), THAT) == reference_expand_in(P.poly(n), THAT)
+
+
+@check
+@given(file_sequences(), st.data())
+def test_expand_in_matches_reference_over_file_sequences(P, data):
+    p = data.draw(polys(P.max_n))
+    assert expand_in(p, P) == reference_expand_in(p, P)
+    for n in range(P.max_n + 1):
+        assert expand_in(P.poly(n), CHEB_S) == reference_expand_in(P.poly(n), CHEB_S)
+
+
+def test_expand_in_checks_termination():
+    class Sloppy:
+        # Claims to be normalized, but its degree-1 entry is 2x.
+        name, normalized = "sloppy", True
+
+        def poly(self, n):
+            return Poly1([1]) if n == 0 else Poly1([0, 2])
+
+    with pytest.raises(AssertionError, match="failed to terminate"):
+        expand_in(Poly1([0, 1]), Sloppy())
+
+
+@check
+@given(st.one_of(perturbations, file_sequences()))
+def test_shared_entry_shortcut_equals_expansion(P):
+    shared = 0
+    for n in range(P.max_n + 1):
+        for src, dst in ((P, THAT), (THAT, P)):
+            want = tuple(reference_expand_in(src.poly(n), dst))
+            if src.poly(n) == dst.poly(n):
+                shared += 1
+                assert want == tuple([ZERO] * n + [ONE])
+            assert expansion_coeffs(src, dst, n) == want
+        assert expansion_coeffs(P, P, n) == tuple(reference_expand_in(P.poly(n), P))
+    if P.name.startswith("that-pert"):
+        assert shared >= 2 * P.max_n  # every entry below the perturbed one
+
+
+# -- canonical values from the private constructors ----------------------------
+
+
+def _canonical(value: Laurent) -> bool:
+    terms = value._terms
+    return all(type(e) is int and type(c) is int and c for e, c in terms.items())
+
+
+def _naive(pairs) -> Laurent:
+    """The public constructor over an unreduced list of (exponent, coeff)."""
+    terms: dict[int, int] = {}
+    for e, c in pairs:
+        terms[e] = terms.get(e, 0) + c
+    return Laurent(terms)
+
+
+def _assert_same(got: Laurent, want: Laurent):
+    assert _canonical(got)
+    assert got._terms == want._terms
+    assert got == want and hash(got) == hash(want)
+
+
+@check
+@given(laurents, laurents)
+def test_laurent_operators_are_canonical(a, b):
+    A, B = list(a._terms.items()), list(b._terms.items())
+    neg_b = [(e, -c) for e, c in B]
+    _assert_same(a + b, _naive(A + B))
+    _assert_same(a - b, _naive(A + neg_b))
+    _assert_same(-a, _naive([(e, -c) for e, c in A]))
+    _assert_same(a * b, _naive([(e1 + e2, c1 * c2) for e1, c1 in A for e2, c2 in B]))
+    _assert_same(b * a, a * b)
+    _assert_same(a.invert_q(), _naive([(-e, c) for e, c in A]))
+    _assert_same(a ** 2, a * a)
+
+
+@check
+@given(laurents, st.integers(-5, 5))
+def test_laurent_int_operands_are_canonical(a, n):
+    A = list(a._terms.items())
+    _assert_same(a + n, _naive(A + [(0, n)]))
+    _assert_same(n + a, a + n)
+    _assert_same(a - n, _naive(A + [(0, -n)]))
+    _assert_same(n - a, _naive([(e, -c) for e, c in A] + [(0, n)]))
+    _assert_same(a * n, _naive([(e, c * n) for e, c in A]))
+    _assert_same(n * a, a * n)
+    _assert_same(Laurent.coerce(n), Laurent({0: n}))
+
+
+@check
+@given(monomials, small_laurents)
+def test_monomial_products_both_ways(m, p):
+    ((e, c),) = m._terms.items()
+    want = Laurent({e + f: c * d for f, d in p._terms.items()})
+    _assert_same(m * p, want)
+    _assert_same(p * m, want)
+
+
+@check
+@given(laurents, monomials)
+def test_sums_that_cancel(a, m):
+    for zero in (a + (-a), a - a, -a + a, (a + m) - m - a):
+        _assert_same(zero, Laurent())
+        assert zero.is_zero
+    _assert_same((a + m) - a, m)
+    _assert_same(m - (a + m), -a)
+
+
+# -- Poly1 results keep their trailing zeros stripped ---------------------------
+
+
+def _stripped(p: Poly1) -> bool:
+    cs = p.coeffs
+    return all(isinstance(c, Laurent) for c in cs) and (not cs or not cs[-1].is_zero)
+
+
+@check
+@given(polys(4), polys(4), laurents)
+def test_poly1_results_are_stripped(a, b, c):
+    for got in (a + b, a - b, -a, a * b, a.scaled(c), a - a, a + (-a)):
+        assert _stripped(got)
+        assert got == Poly1(list(got.coeffs))
+    assert (a - a).coeffs == ()
+    assert (a + b) - b == a
+    assert a.scaled(c) == Poly1([c * x for x in a.coeffs])
+
+
+def test_poly1_cancelling_top_terms():
+    a = Poly1([1, 2, Laurent({3: 1})])
+    b = Poly1([0, 2, Laurent({3: 1})])
+    assert (a - b).coeffs == (ONE,)
+    assert (a + (-b)).coeffs == (ONE,)
+    assert (a - a).is_zero and (a - a).degree == -1

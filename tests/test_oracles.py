@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from skeinalg import skein_ptorus, skein_s04, skein_torus
 from skeinalg.cli import main
-from skeinalg.curves import parse_slope
-from skeinalg.laurent import Laurent, parse_laurent
+from skeinalg.curves import CurveSyntaxError, parse_power, parse_slope
+from skeinalg.laurent import Laurent, LaurentSyntaxError, parse_laurent
 from skeinalg.polyseq import (
     CHEB_S,
     MONOMIAL,
@@ -103,8 +103,19 @@ PARSERS = {
     "sphere operand": skein_s04.operand_from_text,
 }
 
-_GRAMMAR = "0123456789-+^q:,()# \nTSUg"
+# The two literal parsers name the failing position; the others may give any
+# ValueError.  Besides ASCII digits the grammar has digits that ``int`` or
+# ``str.isdigit`` also take: Arabic-Indic three, superscript two, underscore.
+SYNTAX_ERRORS = {"parse_laurent": LaurentSyntaxError, "parse_slope": CurveSyntaxError}
+# Parsers without comment lines: nothing they accept holds a non-ASCII digit.
+NO_COMMENTS = sorted(set(PARSERS) - {"parse_sequence_table"})
+
+_GRAMMAR = "0123456789-+^q:,()# \nTSUg_\u0663\u00b2"
 texts = st.one_of(st.text(max_size=40), st.text(alphabet=_GRAMMAR, max_size=40))
+
+
+def _foreign_digit(text: str) -> bool:
+    return "_" in text or any(ch.isdigit() and not ch.isascii() for ch in text)
 
 
 @pytest.mark.parametrize("name", sorted(PARSERS))
@@ -112,8 +123,38 @@ texts = st.one_of(st.text(max_size=40), st.text(alphabet=_GRAMMAR, max_size=40))
 def test_parsers_raise_only_value_error(name, text):
     try:
         PARSERS[name](text)
-    except ValueError:
-        pass
+    except SYNTAX_ERRORS.get(name, ValueError):
+        return
+    if name in NO_COMMENTS:
+        assert not _foreign_digit(text)
+
+
+# ``int`` reads "٣" as 3 and "1_0" as 10 and refuses "²" without a position;
+# the parsers refuse all three and name where.
+FOREIGN_DIGITS = [
+    (parse_laurent, "\u0663q", LaurentSyntaxError, 0),
+    (parse_laurent, "q^\u00b2", LaurentSyntaxError, 2),
+    (parse_laurent, "2q^1_0", LaurentSyntaxError, 4),
+    (parse_slope, "(\u0661,\u0662)", CurveSyntaxError, 1),
+    (parse_slope, "(1_0,2)", CurveSyntaxError, 1),
+    (parse_slope, "(1,2_0)", CurveSyntaxError, 3),
+    (lambda t: parse_power(t, "U"), "U^\u00b2", CurveSyntaxError, 2),
+    (lambda t: parse_power(t, "U"), " U^\u0663", CurveSyntaxError, 3),
+]
+
+
+@pytest.mark.parametrize("parse,text,error,position", FOREIGN_DIGITS)
+def test_foreign_digits_are_syntax_errors(parse, text, error, position):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert info.value.position == position
+    assert f"at position {position} in {text!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("index", ["\u0661", "1_0", "\u00b9"])
+def test_sequence_index_is_ascii(index):
+    with pytest.raises(ValueError, match=f"line 2: bad index {index!r}"):
+        parse_sequence_table(f"0: 1\n{index}: 0 1\n", "t")
 
 
 # -- the CLI answers bad input with one error line and exit 1 ------------------
@@ -129,6 +170,10 @@ BAD_LABELS = [
     ("s04", "g1^-1", "S(0,1)"),
     ("s04", "S(1,0", "S(0,1)"),
     ("s04", "X(1,0)", "S(0,1)"),
+    ("tor", "(\u0661,\u0662)", "(0,1)"),
+    ("tor", "(1_0,2)", "(0,1)"),
+    ("ptor", "U^\u00b2", "U"),
+    ("s04", "g1^\u0663", "S(0,1)"),
 ]
 
 BAD_FILES = {
@@ -140,6 +185,8 @@ BAD_FILES = {
     "duplicate": b"0: 1\n0: 1\n",
     "too-short": b"0: 1\n1: 0 1\n",
     "not-utf8": b"0: 1\n1: 0 \xff\n",
+    "foreign-digit": "0: 1\n1: 0 1\n2: \u0662 0 1\n".encode(),
+    "underscore-index": b"0: 1\n1: 0 1\n0_2: -2 0 1\n",
 }
 
 

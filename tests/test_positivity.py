@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from skeinalg import polyseq
 from skeinalg.laurent import const
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT, Poly1, PolySeq
 from skeinalg.positivity import (
@@ -9,7 +13,13 @@ from skeinalg.positivity import (
     sandwich_check,
     torus_uniqueness,
 )
-from skeinalg.skein_torus import positivity_scan
+from skeinalg.skein_torus import positivity_scan, structure_constants, tlabel
+
+# SHA-256 of every killed record of torus_uniqueness(4, 2), which the CLI
+# never prints: [level, deltas, witness kind, label, coefficient JSON] in
+# enumeration order.  With and without q1 the same 772 perturbations are
+# killed by the same witnesses.
+GOLDEN_KILLED_4_2 = (772, "e3cdeaf45c5b98385e45f4f6ff36de7d824db60c013103b4e617be4fa5388edc")
 
 
 def test_perturbed_sequence_shape():
@@ -56,8 +66,42 @@ def test_uniqueness_q1():
 def test_uniqueness_witnesses_replay():
     report = torus_uniqueness(3, 2)
     for lv in report.levels:
-        for record in lv.killed[:10]:
+        for record in lv.killed:
             assert replay_uniqueness_witness(record)
+
+
+@pytest.mark.parametrize("q1", [False, True])
+def test_uniqueness_killed_records_golden(q1):
+    report = torus_uniqueness(4, 2, q1=q1)
+    records = [
+        [rec.level, list(rec.deltas), rec.witness_kind, rec.label, rec.coeff.to_json_obj()]
+        for lv in report.levels
+        for rec in lv.killed
+    ]
+    blob = json.dumps(records, separators=(",", ":")).encode()
+    assert (len(records), hashlib.sha256(blob).hexdigest()) == GOLDEN_KILLED_4_2
+    for lv in report.levels:
+        for record in lv.killed:
+            assert replay_uniqueness_witness(record, q1=q1)
+
+
+def test_level_witness_expands_only_the_perturbed_entry(monkeypatch):
+    # (5,1) * (0,1) = q^5 (5,2) + q^-5 (5,0) reads P_1 in the type-one flavor
+    # and back, and T̂_5 over P.  Only the last is not an entry P shares with
+    # T̂, so it is the one elimination a cold cache runs.
+    P = perturbed_that(5, (1, -2, 0, 3, -1))
+    calls = []
+    expand_in = polyseq.expand_in
+
+    def counting(p, basis):
+        calls.append((p, basis))
+        return expand_in(p, basis)
+
+    monkeypatch.setattr(polyseq, "expand_in", counting)
+    polyseq.expansion_coeffs.cache_clear()
+    structure_constants(P, tlabel(5, 1), tlabel(0, 1))
+    assert len(calls) == 1
+    assert calls[0][0] == THAT.poly(5) and calls[0][1] is P
 
 
 def test_uniqueness_covers_both_signs():
