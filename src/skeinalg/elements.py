@@ -7,12 +7,16 @@ providing ``sort_key``, ``text`` and ``json_obj``, an optional ``slope``,
 the tuple ``periph`` of peripheral exponents and ``of(slope, periph)``,
 which builds a label of the same kind.
 
+Only this module adds peripheral exponents (``shifted``, ``dress``); the
+surface modules supply labels and product rules.
+
 Elements are canonical (no zero coefficients) and treated as immutable;
 every operation returns a new value.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .curves import CurveClass, gcd_decompose
@@ -27,11 +31,15 @@ __all__ = [
     "single",
     "q_pair",
     "combine",
+    "shifted",
+    "dress",
     "convert",
     "instantiate",
+    "left_multiply",
     "route",
     "split_by_q_exponent",
     "lowest_q_layer",
+    "element_from_json",
 ]
 
 
@@ -204,16 +212,43 @@ def combine(
     return SkeinElement(surface, flavor, terms())
 
 
+def _exponent_sum(labels) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*(label.periph for label in labels))))
+
+
+def shifted(label, *labels):
+    """``label`` with the peripheral exponents of ``labels`` added to its own."""
+    return label.of(label.slope, _exponent_sum((label, *labels)))
+
+
+def dress(elem: SkeinElement, *labels) -> SkeinElement:
+    """``elem`` times the peripheral monomials of ``labels``; ``elem``
+    itself when the shift is zero.
+
+    This is monomial multiplication, so it is exact only on the punctured
+    torus when at most one factor carries U (U-powers are read in the
+    flavor), and on the sphere in the ``s`` and ``that`` product flavors.
+    """
+    shift = _exponent_sum(labels)
+    if not any(shift):
+        return elem
+    return elem.map_labels(
+        lambda label: label.of(label.slope, tuple(map(add, label.periph, shift)))
+    )
+
+
 def instantiate(
-    surface: str, p: Poly1, prim: CurveClass, basis: PolySeq, label: Callable
+    surface: str, p: Poly1, prim: CurveClass, basis: PolySeq, like
 ) -> SkeinElement:
     """Read a one-variable polynomial on a primitive curve as an element.
 
-    The degree-k part of p, expanded over the basis sequence, lands on
-    ``label(k * prim)``, and the constant part on ``label(None)``.
+    The degree-k part of p, expanded over the basis sequence, lands on the
+    slope ``k * prim`` and the constant part on the empty slope; every
+    label is built by ``like.of`` and carries ``like.periph``.
     """
+    of, periph = like.of, like.periph
     terms = [
-        (label(None if k == 0 else prim.scaled(k)), c)
+        (of(None if k == 0 else prim.scaled(k), periph), c)
         for k, c in enumerate(expand_in(p, basis))
         if not c.is_zero
     ]
@@ -305,6 +340,18 @@ def route(table, a, b, flavor: str, where: str) -> SkeinElement:
     )
 
 
+def left_multiply(
+    name: str, surface: str, flavor: str, left, elem: SkeinElement, product, *args
+) -> SkeinElement:
+    """``left * elem`` term by term through ``product(left, label, *args)``;
+    the error for an element off ``surface`` or ``flavor`` names ``name``."""
+    if elem.surface != surface or elem.flavor != flavor:
+        raise ValueError(f"{name} expects a {flavor!r}-flavor element")
+    return combine(
+        surface, flavor, ((product(left, label, *args), c) for label, c in elem.items())
+    )
+
+
 def split_by_q_exponent(elem: SkeinElement) -> dict[int, SkeinElement]:
     """Split an element by the q-exponent of its coefficient monomials.
 
@@ -327,3 +374,17 @@ def lowest_q_layer(elem: SkeinElement) -> tuple[int, SkeinElement]:
     buckets = split_by_q_exponent(elem)
     low = min(buckets)
     return low, buckets[low]
+
+
+def element_from_json(
+    obj: dict, surface: str, read_label: Callable, default_basis: str
+) -> SkeinElement:
+    """The element serialized by ``SkeinElement.to_json_obj``; each label is
+    read by ``read_label`` and a missing ``"basis"`` means ``default_basis``."""
+    if obj.get("surface") != surface:
+        raise ValueError(f"not a {surface!r} element: surface {obj.get('surface')!r}")
+    terms = [
+        (read_label(t["label"]), Laurent.from_json_obj(t["coeff"]))
+        for t in obj.get("terms", [])
+    ]
+    return SkeinElement(surface, obj.get("basis", default_basis), terms)

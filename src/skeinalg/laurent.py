@@ -26,6 +26,7 @@ __all__ = [
     "const",
     "q_power",
     "quantum_int",
+    "ascii_int",
     "parse_laurent",
 ]
 

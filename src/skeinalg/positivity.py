@@ -111,15 +111,6 @@ class KilledPerturbation:
     label: str
     coeff: Laurent
 
-    def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "deltas": list(self.deltas),
-            "witness": self.witness_kind,
-            "label": self.label,
-            "coeff": self.coeff.to_json_obj(),
-        }
-
 
 @dataclass
 class UniquenessLevel:

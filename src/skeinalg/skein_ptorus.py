@@ -23,9 +23,9 @@ of ``PRODUCTS``, tried in order by ``product``:
 ``CHECKS`` checks G_n in closed form against its recursion, and the two
 ways of expanding (1,0)*((n,1)*(0,1)), up to a bound.
 
-U-powers are read in the flavor, so a rule may add the U-powers of its
-factors only when one of them is zero, and a rule whose output carries U
-needs U-free factors.
+U-powers are read in the flavor, so a rule may ``dress`` its output with
+the U-powers of its factors only when one of them is zero, and a rule
+whose output carries U needs U-free factors.
 
 The lowest-q-exponent extraction rewrites that last product in a caller
 supplied integer-coefficient flavor and groups terms by q-exponent.
@@ -44,19 +44,23 @@ from .curves import (
     parse_power,
     parse_slope,
 )
+from . import elements
 from .elements import (
     NoProductRuleError,
     ProductRule,
     SkeinElement,
     combine,
     convert,
+    dress,
     instantiate,
+    left_multiply,
     lowest_q_layer,
     q_pair,
     route,
+    shifted,
     single,
 )
-from .laurent import Laurent, ONE, q_power
+from .laurent import ONE, q_power
 from .polyseq import (
     CHEB_S,
     THAT,
@@ -83,7 +87,6 @@ __all__ = [
     "product",
     "two_way_expansion",
     "CHECKS",
-    "shift_u",
     "convert",
     "upper_bound_extract",
     "label_from_text",
@@ -145,16 +148,9 @@ def parity_indicator(n: int) -> int:
     return n & 1
 
 
-def shift_u(elem: SkeinElement, k: int) -> SkeinElement:
-    """Attach k extra peripheral copies to every label (U is central)."""
-    if k == 0:
-        return elem
-    return elem.map_labels(lambda lab: PTorusLabel(lab.slope, lab.u + k))
-
-
-def _on_curve(p: Poly1, prim: CurveClass, u: int = 0) -> SkeinElement:
-    """p read in the type-one flavor on a primitive curve, with U-power u."""
-    return instantiate(SURFACE, p, prim, THAT, lambda slope: PTorusLabel(slope, u))
+def _on_curve(p: Poly1, prim: CurveClass, like=PT_EMPTY) -> SkeinElement:
+    """p read in the type-one flavor on a primitive curve, with like's U-power."""
+    return instantiate(SURFACE, p, prim, THAT, like)
 
 
 def mul_once(a: PTorusLabel, b: CurveClass) -> SkeinElement:
@@ -254,7 +250,7 @@ def mul_tn1_t01(n: int) -> SkeinElement:
         "that",
         [
             (slopes, 1),
-            (_on_curve(g, a_curve, u=1), 1),
+            (_on_curve(g, a_curve, PTorusLabel(None, 1)), 1),
             (_on_curve(g, a_curve), q_power(2) + q_power(-2)),
         ],
     )
@@ -301,7 +297,7 @@ PRODUCTS = (
         "U^k * (r,s) and (r,s) * U^k",
         lambda a, b: (a.slope is None or b.slope is None) and _one_u(a, b),
         lambda a, b, flavor: single(
-            SURFACE, "that", PTorusLabel(a.slope or b.slope, a.u + b.u)
+            SURFACE, "that", shifted(b, a) if a.slope is None else shifted(a, b)
         ),
     ),
     ProductRule(
@@ -317,12 +313,14 @@ PRODUCTS = (
     ProductRule(
         "(r,s) * (u,v) meeting once",
         _meets_once,
-        lambda a, b, flavor: shift_u(mul_once(a, b.slope), b.u),
+        lambda a, b, flavor: dress(mul_once(a, b.slope), b),
     ),
     ProductRule(
         "(1,0) * (k,0)",
         lambda a, b: a.slope == T10.slope and _is_slope(b, 0) and _one_u(a, b),
-        lambda a, b, flavor: _on_curve(X * THAT.poly(b.slope.d), T10.slope, a.u + b.u),
+        lambda a, b, flavor: _on_curve(
+            X * THAT.poly(b.slope.d), T10.slope, shifted(a, b)
+        ),
     ),
 )
 
@@ -336,11 +334,7 @@ def product(a: PTorusLabel, b: PTorusLabel) -> SkeinElement:
 def mul_by_t10(elem: SkeinElement) -> SkeinElement:
     """Left-multiply a type-one-flavor element by the (1,0) label, term by
     term through ``product``."""
-    if elem.surface != SURFACE or elem.flavor != "that":
-        raise ValueError("mul_by_t10 expects a 'that'-flavor element")
-    return combine(
-        SURFACE, "that", ((product(T10, label), c) for label, c in elem.items())
-    )
+    return left_multiply("mul_by_t10", SURFACE, "that", T10, elem, product)
 
 
 def two_way_expansion(n: int) -> Iterator[tuple[SkeinElement, SkeinElement]]:
@@ -419,7 +413,7 @@ def label_from_text(text: str) -> PTorusLabel:
     return PTorusLabel(parse_slope(t[1:]))
 
 
-def label_from_json(obj: dict) -> PTorusLabel:
+def _label_from_json(obj: dict) -> PTorusLabel:
     slope = obj.get("slope")
     return PTorusLabel(
         None if slope is None else parse_slope(slope), int(obj.get("u", 0))
@@ -427,12 +421,4 @@ def label_from_json(obj: dict) -> PTorusLabel:
 
 
 def element_from_json(obj: dict) -> SkeinElement:
-    if obj.get("surface") != SURFACE:
-        raise ValueError(
-            f"not a punctured-torus element: surface {obj.get('surface')!r}"
-        )
-    terms = [
-        (label_from_json(t["label"]), Laurent.from_json_obj(t["coeff"]))
-        for t in obj.get("terms", [])
-    ]
-    return SkeinElement(SURFACE, obj.get("basis", "that"), terms)
+    return elements.element_from_json(obj, SURFACE, _label_from_json, "that")

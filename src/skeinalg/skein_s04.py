@@ -11,8 +11,8 @@ and all identities below are exact in it.
 Two families of rules are implemented, and nothing else.  ``product``
 multiplies two labels by the first matching row of ``PRODUCTS``; unsupported
 pairs raise ``NoProductRuleError``.  Since the peripheral exponents are
-plain monomial powers, every row carries the exponents of its factors into
-its output.
+plain monomial powers, every row multiplies the two slopes and adds the
+exponents of both factors to its output with ``dress`` or ``shifted``.
 
   * type-one flavor: the resolution of the (1,0) curve against (n,1)
     produces two shifted terms plus a parity-dependent peripheral constant
@@ -36,15 +36,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurveClass, curve, parse_power, parse_slope, sigma
+from . import elements
 from .elements import (
     ProductRule,
     SkeinElement,
     combine,
     convert,
+    dress,
     instantiate,
+    left_multiply,
     lowest_q_layer,
     q_pair,
     route,
+    shifted,
     single,
     zero,
 )
@@ -137,38 +141,37 @@ def slabel(
     return S04Label(slope, g)
 
 
-def _add_g(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(g, h))
-
-
-def c_element(n: int, flavor: str = "s") -> SkeinElement:
-    """The peripheral constant c_n: g1*g3 + g2*g4 for even n, g1*g4 + g2*g3
-    for odd n.  The half twist swaps the two."""
+def c_element(
+    n: int, flavor: str = "s", slope: CurveClass | None = None
+) -> SkeinElement:
+    """The peripheral constant c_n times the label of ``slope`` (by default
+    the empty one): g1*g3 + g2*g4 for even n, g1*g4 + g2*g3 for odd n.  The
+    half twist swaps the two."""
     if n % 2 == 0:
         pairs = [(1, 0, 1, 0), (0, 1, 0, 1)]
     else:
         pairs = [(1, 0, 0, 1), (0, 1, 1, 0)]
-    return SkeinElement(SURFACE, flavor, [(S04Label(None, g), ONE) for g in pairs])
+    return SkeinElement(SURFACE, flavor, [(S04Label(slope, g), ONE) for g in pairs])
 
 
-def gamma_pair_ab(flavor: str = "s") -> SkeinElement:
-    """g1*g2 + g3*g4; fixed by the half twist's puncture swap."""
+def gamma_pair_ab() -> SkeinElement:
+    """g1*g2 + g3*g4 in the type-two flavor; fixed by the half twist."""
     return SkeinElement(
         SURFACE,
-        flavor,
+        "s",
         [(S04Label(None, (1, 1, 0, 0)), ONE), (S04Label(None, (0, 0, 1, 1)), ONE)],
     )
 
 
-def gamma_quad(flavor: str = "s") -> SkeinElement:
-    """g1*g2*g3*g4 + g1^2 + g2^2 + g3^2 + g4^2 - 2."""
+def gamma_quad() -> SkeinElement:
+    """g1*g2*g3*g4 + g1^2 + g2^2 + g3^2 + g4^2 - 2 in the type-two flavor."""
     terms = [(S04Label(None, (1, 1, 1, 1)), ONE)]
     for i in range(4):
         g = [0, 0, 0, 0]
         g[i] = 2
         terms.append((S04Label(None, tuple(g)), ONE))
     terms.append((S04_EMPTY, const(-2)))
-    return SkeinElement(SURFACE, flavor, terms)
+    return SkeinElement(SURFACE, "s", terms)
 
 
 def apply_sigma(elem: SkeinElement, k: int = 1) -> SkeinElement:
@@ -187,24 +190,8 @@ def apply_sigma(elem: SkeinElement, k: int = 1) -> SkeinElement:
     return elem.map_labels(act)
 
 
-def _mul_central(elem: SkeinElement, central: SkeinElement) -> SkeinElement:
-    """Multiply by an element supported on peripheral monomials only."""
-    terms = []
-    for lab, c in elem.items():
-        for cen, cc in central.items():
-            if cen.slope is not None:
-                raise ValueError("central factor must have no slope component")
-            terms.append((S04Label(lab.slope, _add_g(lab.g, cen.g)), c * cc))
-    return SkeinElement(SURFACE, elem.flavor, terms)
-
-
 def _pair(flavor: str, plus: CurveClass, minus: CurveClass, e: int) -> SkeinElement:
     return q_pair(SURFACE, flavor, S04Label(plus), S04Label(minus), e)
-
-
-def _c_times(slope: CurveClass | None, n: int, flavor: str = "s") -> SkeinElement:
-    """The peripheral constant c_n times the label of one slope."""
-    return _mul_central(single(SURFACE, flavor, S04Label(slope)), c_element(n, flavor))
 
 
 # -- the (1,0)-against-(n,1) family (type-one flavor) -------------------------
@@ -237,7 +224,7 @@ def mul_tna_b(n: int) -> SkeinElement:
     parts = [(_pair("that", curve(n, 1), curve(-n, 1), 2 * n), 1)]
     for i in range(1, n + 1):
         power = None if i == n else curve(n - i, 0)
-        parts.append((_c_times(power, 0 if i % 2 else 1, "that"), quantum_int(i)))
+        parts.append((c_element(0 if i % 2 else 1, "that", power), quantum_int(i)))
     return combine(SURFACE, "that", parts)
 
 
@@ -269,15 +256,15 @@ def mul_s10_sm2(m: int) -> SkeinElement:
     parts = [(_pair("s", curve(m + 1, 2), curve(m - 1, 2), 4), 1)]
     if m % 2 == 0:
         parts += [
-            (_c_times(curve(k, 1), k), 1),
+            (c_element(k, "s", curve(k, 1)), 1),
             (single(SURFACE, "s", S04Label(curve(1, 0))), 1),
-            (gamma_pair_ab("s"), q_power(2) + q_power(-2)),
+            (gamma_pair_ab(), q_power(2) + q_power(-2)),
         ]
     else:
         parts += [
-            (_c_times(curve(k + 1, 1), k), q_power(2)),
-            (_c_times(curve(k, 1), k + 1), q_power(-2)),
-            (gamma_quad("s"), 1),
+            (c_element(k, "s", curve(k + 1, 1)), q_power(2)),
+            (c_element(k + 1, "s", curve(k, 1)), q_power(-2)),
+            (gamma_quad(), 1),
         ]
     return combine(SURFACE, "s", parts)
 
@@ -296,7 +283,7 @@ def g_s04_closed(n: int) -> SkeinElement:
         SURFACE,
         "s",
         (
-            (_c_times(curve(j, 1), n - j + 1), q_power(4 * i - 2))
+            (c_element(n - j + 1, "s", curve(j, 1)), q_power(4 * i - 2))
             for i in range(1, n // 2 + 1)
             for j in range(i, n - i + 1)
         ),
@@ -320,14 +307,14 @@ def mul_sn1_s01(n: int) -> list[SkeinElement]:
     if n < 0:
         raise ValueError("index must be nonnegative")
     products = [
-        instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04Label),
-        _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab("s"),
+        instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04_EMPTY),
+        _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab(),
     ]
     for k in range(2, n + 1):
         parts = [
             (mul_by_s10(products[k - 1]), q_power(-2)),
             (products[k - 2], -q_power(-4)),
-            (_c_times(curve(0, 1), k - 1), -q_power(-2)),
+            (c_element(k - 1, "s", curve(0, 1)), -q_power(-2)),
         ]
         products.append(combine(SURFACE, "s", parts))
     return products[: n + 1]
@@ -368,21 +355,11 @@ def _is_slope(label: S04Label, s: int) -> bool:
     return label.slope is not None and label.slope.s == s
 
 
-def _dressed(elem: SkeinElement, a: S04Label, b: S04Label) -> SkeinElement:
-    """elem times the peripheral monomials of the labels a and b."""
-    g = _add_g(a.g, b.g)
-    if g == _G0:
-        return elem
-    return _mul_central(elem, single(SURFACE, elem.flavor, S04Label(None, g)))
-
-
-def _times_power_of_10(k: int, flavor: str, g: tuple[int, ...]) -> SkeinElement:
-    """(1,0) times the degree-k entry of the flavor's sequence on (1,0),
-    by one-variable multiplication; every label carries the exponents g."""
+def _times_power_of_10(a: S04Label, b: S04Label, flavor: str) -> SkeinElement:
+    """a * b for a of slope (1,0) and b of slope (k,0), by one-variable
+    multiplication in the flavor's sequence on (1,0)."""
     seq = builtin_sequence(flavor)
-    return instantiate(
-        SURFACE, X * seq.poly(k), curve(1, 0), seq, lambda slope: S04Label(slope, g)
-    )
+    return instantiate(SURFACE, X * seq.poly(b.slope.d), S10.slope, seq, shifted(a, b))
 
 
 S10 = S04Label(curve(1, 0))
@@ -399,38 +376,38 @@ PRODUCTS = (
         "gi^k * label and label * gi^k",
         lambda a, b: a.slope is None or b.slope is None,
         lambda a, b, flavor: single(
-            SURFACE, flavor, S04Label(a.slope or b.slope, _add_g(a.g, b.g))
+            SURFACE, flavor, shifted(b, a) if a.slope is None else shifted(a, b)
         ),
         _BOTH,
     ),
     ProductRule(
         "(1,0) * (m,2)",
         lambda a, b: a.slope == S10.slope and _is_slope(b, 2),
-        lambda a, b, flavor: _dressed(mul_s10_sm2(b.slope.r), a, b),
+        lambda a, b, flavor: dress(mul_s10_sm2(b.slope.r), a, b),
         ("s",),
     ),
     ProductRule(
         "(1,0) * (n,1)",
         lambda a, b: a.slope == S10.slope and _is_slope(b, 1),
-        lambda a, b, flavor: _dressed(mul_a_bn(b.slope.r, flavor), a, b),
+        lambda a, b, flavor: dress(mul_a_bn(b.slope.r, flavor), a, b),
         _BOTH,
     ),
     ProductRule(
         "(1,0) * (k,0)",
         lambda a, b: a.slope == S10.slope and _is_slope(b, 0),
-        lambda a, b, flavor: _times_power_of_10(b.slope.d, flavor, _add_g(a.g, b.g)),
+        lambda a, b, flavor: _times_power_of_10(a, b, flavor),
         _BOTH,
     ),
     ProductRule(
         "(n,1) * (0,1) for n >= 0",
         lambda a, b: _is_slope(a, 1) and a.slope.r >= 0 and b.slope == S01.slope,
-        lambda a, b, flavor: _dressed(mul_sn1_s01(a.slope.r)[-1], a, b),
+        lambda a, b, flavor: dress(mul_sn1_s01(a.slope.r)[-1], a, b),
         ("s",),
     ),
     ProductRule(
         "(n,0) * (0,1)",
         lambda a, b: _is_slope(a, 0) and b.slope == S01.slope,
-        lambda a, b, flavor: _dressed(mul_tna_b(a.slope.r), a, b),
+        lambda a, b, flavor: dress(mul_tna_b(a.slope.r), a, b),
     ),
 )
 
@@ -442,24 +419,16 @@ def product(a: S04Label, b: S04Label, flavor: str = "s") -> SkeinElement:
     return route(PRODUCTS, a, b, flavor, "sphere")
 
 
-def _mul_by_10(elem: SkeinElement, flavor: str, name: str) -> SkeinElement:
-    if elem.surface != SURFACE or elem.flavor != flavor:
-        raise ValueError(f"{name} expects a {flavor!r}-flavor element")
-    return combine(
-        SURFACE, flavor, ((product(S10, label, flavor), c) for label, c in elem.items())
-    )
-
-
 def mul_by_a(elem: SkeinElement) -> SkeinElement:
     """Left-multiply a type-one-flavor element by the (1,0) label, term by
     term through ``product``."""
-    return _mul_by_10(elem, "that", "mul_by_a")
+    return left_multiply("mul_by_a", SURFACE, "that", S10, elem, product, "that")
 
 
 def mul_by_s10(elem: SkeinElement) -> SkeinElement:
     """Left-multiply a type-two-flavor element by the (1,0) label, term by
     term through ``product``."""
-    return _mul_by_10(elem, "s", "mul_by_s10")
+    return left_multiply("mul_by_s10", SURFACE, "s", S10, elem, product, "s")
 
 
 # -- the check table -----------------------------------------------------------
@@ -616,7 +585,7 @@ def operand_from_text(text: str) -> tuple[str | None, S04Label]:
     raise ValueError(f"expected a label of the form T(r,s) or S(r,s), got {text!r}")
 
 
-def label_from_json(obj: dict) -> S04Label:
+def _label_from_json(obj: dict) -> S04Label:
     slope = obj.get("slope")
     g = obj.get("g", [0, 0, 0, 0])
     return S04Label(
@@ -625,10 +594,4 @@ def label_from_json(obj: dict) -> S04Label:
 
 
 def element_from_json(obj: dict) -> SkeinElement:
-    if obj.get("surface") != SURFACE:
-        raise ValueError(f"not a sphere element: surface {obj.get('surface')!r}")
-    terms = [
-        (label_from_json(t["label"]), Laurent.from_json_obj(t["coeff"]))
-        for t in obj.get("terms", [])
-    ]
-    return SkeinElement(SURFACE, obj.get("basis", "s"), terms)
+    return elements.element_from_json(obj, SURFACE, _label_from_json, "s")

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .curves import CurveClass, MappingClass, curve, parse_slope
+from . import elements
 from .elements import SkeinElement, combine, convert, single
-from .laurent import Laurent, q_power
+from .laurent import q_power
 from .polyseq import THAT, PolySeq
 from .reports import (
     VERDICT_POSITIVE,
@@ -169,10 +170,4 @@ def label_from_text(text: str) -> TorusLabel:
 
 
 def element_from_json(obj: dict) -> SkeinElement:
-    if obj.get("surface") != SURFACE:
-        raise ValueError(f"not a torus element: surface {obj.get('surface')!r}")
-    terms = [
-        (label_from_text(t["label"]), Laurent.from_json_obj(t["coeff"]))
-        for t in obj.get("terms", [])
-    ]
-    return SkeinElement(SURFACE, obj.get("basis", "that"), terms)
+    return elements.element_from_json(obj, SURFACE, label_from_text, "that")

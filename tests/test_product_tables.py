@@ -5,11 +5,12 @@ import pytest
 
 from skeinalg import skein_ptorus, skein_s04
 from skeinalg.curves import curve
-from skeinalg.elements import NoProductRuleError, SkeinElement, single
+from skeinalg.elements import NoProductRuleError, SkeinElement, shifted, single
 from skeinalg.laurent import q_power
 from skeinalg.polyseq import THAT, expand_in
-from skeinalg.skein_ptorus import PTorusLabel, plabel
-from skeinalg.skein_s04 import S04Label, slabel
+from skeinalg.skein_ptorus import PT_EMPTY, PTorusLabel, plabel
+from skeinalg.skein_s04 import S04_EMPTY, S04Label, slabel
+from skeinalg.skein_torus import tlabel
 
 
 def test_tables_name_their_families():
@@ -127,3 +128,88 @@ def test_s04_peripheral_row_adds_exponents():
         S04Label(None, (1, 0, 0, 2)), S04Label(curve(2, 1), (0, 1, 0, 1)), "that"
     )
     assert got == single(skein_s04.SURFACE, "that", S04Label(curve(2, 1), (1, 1, 0, 3)))
+
+
+def _family(table, a, b, flavor):
+    """The family of the row that ``route`` takes for a * b."""
+    return next(r for r in table if flavor in r.flavors and r.shape(a, b)).family
+
+
+_PT_ROWS = {
+    "U^k * (r,s) and (r,s) * U^k": [
+        (PT_EMPTY, plabel(2, 1)),
+        (plabel(3, 2), PT_EMPTY),
+        (PT_EMPTY, plabel(4, 0)),
+    ],
+    "(r,s) * (u,v) meeting once": [
+        (plabel(2, 1), plabel(1, 0)),
+        (plabel(2, 0), plabel(0, 1)),
+        (plabel(1, 0), plabel(3, 1)),
+        (plabel(-1, 2), plabel(0, 1)),
+    ],
+    "(1,0) * (k,0)": [(plabel(1, 0), plabel(k, 0)) for k in (1, 2, 3, 6)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PT_ROWS))
+@pytest.mark.parametrize("ua,ub", [(1, 0), (3, 0), (0, 1), (0, 2)])
+def test_ptor_dressed_rows_add_u_powers(family, ua, ub):
+    # U is central, and with at most one factor carrying U its powers add as
+    # monomials: dressing a factor dresses the product.
+    table = skein_ptorus.PRODUCTS
+    for a, b in _PT_ROWS[family]:
+        da = shifted(a, PTorusLabel(None, ua))
+        db = shifted(b, PTorusLabel(None, ub))
+        assert (da.u, db.u) == (a.u + ua, b.u + ub)
+        assert _family(table, a, b, "that") == family
+        assert _family(table, da, db, "that") == family
+        want = skein_ptorus.product(a, b).map_labels(
+            lambda lab: PTorusLabel(lab.slope, lab.u + ua + ub)
+        )
+        assert skein_ptorus.product(da, db) == want
+
+
+_S04_ROWS = {
+    "gi^k * label and label * gi^k": (
+        ("s", "that"),
+        [(S04_EMPTY, slabel(2, 1)), (slabel(-1, 2), S04_EMPTY)],
+    ),
+    "(1,0) * (m,2)": (("s",), [(slabel(1, 0), slabel(m, 2)) for m in range(-3, 4)]),
+    "(1,0) * (k,0)": (("s", "that"), [(slabel(1, 0), slabel(k, 0)) for k in (1, 2, 5)]),
+    "(n,1) * (0,1) for n >= 0": (
+        ("s",),
+        [(slabel(n, 1), slabel(0, 1)) for n in range(5)],
+    ),
+    "(n,0) * (0,1)": (("that",), [(slabel(n, 0), slabel(0, 1)) for n in (2, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_S04_ROWS))
+@pytest.mark.parametrize("ga", _DRESSINGS)
+def test_s04_dressed_rows_add_exponents(family, ga):
+    # The s and that flavors read peripheral exponents as monomials, so
+    # dressing either factor dresses the product.
+    table = skein_s04.PRODUCTS
+    flavors, pairs = _S04_ROWS[family]
+    for gb in _DRESSINGS:
+        for flavor in flavors:
+            for a, b in pairs:
+                da = shifted(a, S04Label(None, ga))
+                db = shifted(b, S04Label(None, gb))
+                assert (da.slope, db.slope) == (a.slope, b.slope)
+                assert _family(table, a, b, flavor) == family
+                assert _family(table, da, db, flavor) == family
+                want = skein_s04.product(a, b, flavor).map_labels(
+                    lambda lab: S04Label(
+                        lab.slope, tuple(e + x + y for e, x, y in zip(lab.g, ga, gb))
+                    )
+                )
+                assert skein_s04.product(da, db, flavor) == want
+
+
+def test_shifted_adds_every_label():
+    lab = S04Label(curve(2, 1), (1, 0, 2, 0))
+    got = shifted(lab, S04Label(None, (0, 1, 0, 0)), S04Label(curve(5, 3), (1, 1, 1, 1)))
+    assert got == S04Label(curve(2, 1), (2, 2, 3, 1))
+    assert shifted(lab) == lab
+    assert shifted(tlabel(1, 2), tlabel(3, 1)) == tlabel(1, 2)

@@ -4,6 +4,7 @@ from skeinalg.curves import curve
 from skeinalg.elements import (
     NoProductRuleError,
     SkeinElement,
+    dress,
     single,
     split_by_q_exponent,
 )
@@ -22,7 +23,6 @@ from skeinalg.skein_ptorus import (
     mul_tn1_t01,
     parity_indicator,
     plabel,
-    shift_u,
     two_way_expansion,
     upper_bound_extract,
 )
@@ -133,7 +133,7 @@ def test_u_centrality():
     for n in (0, 2, 5):
         base = mul_once(plabel(n + 1, 1, u=0), curve(1, 0))
         dressed = mul_once(plabel(n + 1, 1, u=3), curve(1, 0))
-        assert dressed == shift_u(base, 3)
+        assert dressed == dress(base, PTorusLabel(None, 3))
 
 
 def test_q_split_recombines():
