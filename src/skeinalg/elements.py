@@ -380,11 +380,34 @@ def element_from_json(
     obj: dict, surface: str, read_label: Callable, default_basis: str
 ) -> SkeinElement:
     """The element serialized by ``SkeinElement.to_json_obj``; each label is
-    read by ``read_label`` and a missing ``"basis"`` means ``default_basis``."""
+    read by ``read_label`` and a missing ``"basis"`` means ``default_basis``.
+    A malformed term raises a one-line ``ValueError`` that names its index."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an element is a JSON object, got {obj!r}")
     if obj.get("surface") != surface:
         raise ValueError(f"not a {surface!r} element: surface {obj.get('surface')!r}")
-    terms = [
-        (read_label(t["label"]), Laurent.from_json_obj(t["coeff"]))
-        for t in obj.get("terms", [])
-    ]
-    return SkeinElement(surface, obj.get("basis", default_basis), terms)
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValueError(f"'terms' is not a list: {terms!r}")
+    return SkeinElement(
+        surface,
+        obj.get("basis", default_basis),
+        [_term_from_json(i, term, read_label) for i, term in enumerate(terms)],
+    )
+
+
+def _term_from_json(i: int, term, read_label: Callable) -> tuple[object, Laurent]:
+    if not isinstance(term, dict) or "label" not in term or "coeff" not in term:
+        raise ValueError(f"term {i}: expected an object with 'label' and 'coeff'")
+    try:
+        label = read_label(term["label"])
+    except (TypeError, AttributeError):
+        # The label readers apply string and dict methods to the JSON value,
+        # so a value of the wrong JSON type fails inside them.
+        raise ValueError(f"term {i}: malformed label {term['label']!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"term {i}: {exc}") from None
+    try:
+        return label, Laurent.from_json_obj(term["coeff"])
+    except ValueError as exc:
+        raise ValueError(f"term {i}: {exc}") from None

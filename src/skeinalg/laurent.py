@@ -27,6 +27,7 @@ __all__ = [
     "q_power",
     "quantum_int",
     "ascii_int",
+    "json_int",
     "parse_laurent",
 ]
 
@@ -233,7 +234,21 @@ class Laurent:
 
     @staticmethod
     def from_json_obj(obj: Mapping[str, int | str]) -> "Laurent":
-        return Laurent({int(e): int(c) for e, c in obj.items()})
+        """The polynomial that ``to_json_obj`` wrote.  Exponents are keys
+        that ``ascii_int`` reads and coefficients are read by ``json_int``;
+        anything else, a float or a bool coefficient included, raises
+        ``ValueError``."""
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a Laurent polynomial is a JSON object, got {obj!r}")
+        terms: dict[int, int] = {}
+        for key, c in obj.items():
+            if not isinstance(key, str):
+                raise ValueError(f"exponent key is not a string: {key!r}")
+            e = ascii_int(key)
+            if e in terms:
+                raise ValueError(f"exponent {e} appears twice")
+            terms[e] = json_int(c)
+        return Laurent(terms)
 
 
 ZERO = Laurent()
@@ -272,6 +287,17 @@ def ascii_int(text: str) -> int:
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII integer: {text!r}")
     return int(text)
+
+
+def json_int(value: object) -> int:
+    """An integer read from JSON: an int, or a string that ``ascii_int``
+    reads (huge coefficients are written as strings).  A bool, a float or
+    any other value raises ``ValueError``."""
+    if isinstance(value, str):
+        return ascii_int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"not an integer: {value!r}")
 
 
 class LaurentSyntaxError(ValueError):

@@ -14,6 +14,13 @@ curve and so flags negative components.  The annulus products
 P_1 * P_(k-1) and P_2 * P_(k-2), which live in the one-variable
 subalgebra of a regular neighborhood, are also checked.
 
+Every witness coefficient is affine in the perturbation, so each level
+builds its *witness forms* once, from the products at T̂ and at the unit
+perturbations, and decides each perturbation of the box by evaluating
+them.  The products themselves (``_uniqueness_witnesses``) stay the
+reference: they check T̂, replay recorded witnesses and re-check every
+perturbation the forms let through before it is reported as unkilled.
+
 ``lower_bound_certify`` runs the sphere-side argument: expanding
 P_n(a) * b over the proved product family puts each type-one expansion
 coefficient of P_n on its own primitive (i,1) label, so positivity of the
@@ -31,10 +38,11 @@ from dataclasses import dataclass, field
 
 from .curves import curve
 from .elements import combine, single
-from .laurent import Laurent, q_power
+from .laurent import ZERO, Laurent, q_power
 from .polyseq import (
     CHEB_S,
     THAT,
+    Poly1,
     PolySeq,
     SeqLeqResult,
     X,
@@ -63,44 +71,107 @@ def perturbed_that(level: int, deltas: tuple[int, ...]) -> PolySeq:
     """The type-one sequence with one entry perturbed.
 
     Entry ``level`` becomes the type-one entry plus
-    sum(deltas[i] * type-one entry i) for i < level; all other entries are
-    untouched.  The result is still normalized.
+    sum(deltas[i] * type-one entry i) for i < level.  Entries below it are
+    T̂'s own, and none above it is defined.  The result is still normalized.
+    Nothing is computed until an entry is read: the level entry is summed
+    on its first read.
     """
     if level < 2:
         raise ValueError("perturbation level must be at least 2")
     if len(deltas) != level:
         raise ValueError(f"need {level} perturbation coefficients")
-    polys = [THAT.poly(i) for i in range(level + 1)]
-    p = polys[level]
-    for i, d in enumerate(deltas):
-        if d:
-            p = p + THAT.poly(i).scaled(d)
-    polys[level] = p
-    tag = ",".join(str(d) for d in deltas)
-    return PolySeq.from_polys(f"that-pert{level}[{tag}]", polys)
+    name = f"that-pert{level}[{','.join(str(d) for d in deltas)}]"
+
+    def rule(n: int, prev: list[Poly1]) -> Poly1:
+        if n < level:
+            return THAT.poly(n)
+        if n > level:
+            raise ValueError(f"sequence {name!r} is only defined up to n = {level}")
+        p = THAT.poly(level)
+        for i, d in enumerate(deltas):
+            if d:
+                p = p + THAT.poly(i).scaled(d)
+        return p
+
+    return PolySeq(name, rule, max_n=level)
 
 
-def _first_bad(pairs, q1: bool) -> tuple[object, Laurent] | None:
-    """The first (key, coefficient) pair whose coefficient is not positive."""
-    return next(((key, c) for key, c in pairs if not c.is_positive(q1)), None)
-
-
-def _uniqueness_witnesses(P: PolySeq, level: int, q1: bool):
-    """Yield (kind, offending label, coefficient) for the witness products
-    of one perturbation level, stopping at the first violation per kind."""
+def _witness_values(P: PolySeq, level: int):
+    """Yield (kind, pairs) for the five witness products of one perturbation
+    level, in kind order, each computed when it is reached.  ``pairs`` runs
+    over the product read in P: (label, coefficient) in ``sort_key`` order
+    for the structure-constant kinds, (index, coefficient) for the annulus
+    kinds."""
     k = level
     for kind, (r, s) in (
         ("level-product", (k, 1)),
         ("input-product", (k, 0)),
         ("base-product", (2, 1)),
     ):
-        bad = _first_bad(structure_constants(P, tlabel(r, s), tlabel(0, 1)).items(), q1)
-        if bad is not None:
-            yield kind, bad[0].text(), bad[1]
+        yield kind, structure_constants(P, tlabel(r, s), tlabel(0, 1)).items()
     for kind, (i, j) in (("annulus-1", (1, k - 1)), ("annulus-2", (2, k - 2))):
-        bad = _first_bad(enumerate(expand_in(P.poly(i) * P.poly(j), P)), q1)
+        yield kind, enumerate(expand_in(P.poly(i) * P.poly(j), P))
+
+
+def _key_text(key) -> str:
+    return f"P_{key}" if isinstance(key, int) else key.text()
+
+
+def _key_order(key):
+    return key if isinstance(key, int) else key.sort_key()
+
+
+def _first_witnesses(values, q1: bool):
+    """Yield (kind, offending label, coefficient) for each kind of
+    ``values`` that has a coefficient that is not positive: its first."""
+    for kind, pairs in values:
+        bad = next(((key, c) for key, c in pairs if not c.is_positive(q1)), None)
         if bad is not None:
-            yield kind, f"P_{bad[0]}", bad[1]
+            yield kind, _key_text(bad[0]), bad[1]
+
+
+def _uniqueness_witnesses(P: PolySeq, level: int, q1: bool):
+    """The reference path: the witness products of one perturbation level
+    computed in P, first violation per kind."""
+    return _first_witnesses(_witness_values(P, level), q1)
+
+
+def _witness_forms(level: int, units: list[PolySeq]):
+    """Each witness kind's coefficients at one level as affine forms in the
+    perturbation δ, from the reference values at T̂ and at the unit
+    perturbations ``units[i]`` = e_i.
+
+    Returns [(kind, terms)] in kind order; ``terms`` lists (key, c0,
+    partials) in reference order, where c0 is the coefficient at T̂ and
+    ``partials`` the nonzero (i, c_i) with c_i = W(e_i) - W(0).
+    """
+    forms = []
+    for (kind, pairs), *at_units in zip(
+        _witness_values(THAT, level), *(_witness_values(P, level) for P in units)
+    ):
+        w0 = dict(pairs)
+        ws = [dict(unit_pairs) for _, unit_pairs in at_units]
+        terms = []
+        for key in sorted(set(w0).union(*ws), key=_key_order):
+            c0 = w0.get(key, ZERO)
+            diffs = ((i, w.get(key, ZERO) - c0) for i, w in enumerate(ws))
+            terms.append((key, c0, [(i, ci) for i, ci in diffs if ci]))
+        forms.append((kind, terms))
+    return forms
+
+
+def _form_values(forms, deltas: tuple[int, ...]):
+    """Yield (kind, pairs) as ``_witness_values`` does, evaluated from the
+    forms at δ: each coefficient is c0 + sum(δ_i * c_i)."""
+
+    def value(c0: Laurent, partials) -> Laurent:
+        for i, ci in partials:
+            if deltas[i]:
+                c0 = c0 + ci * deltas[i]
+        return c0
+
+    for kind, terms in forms:
+        yield kind, ((key, value(c0, partials)) for key, c0, partials in terms)
 
 
 @dataclass(frozen=True)
@@ -168,6 +239,28 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
     perturbation vector with entries in [-coeff_box, coeff_box] must break
     some witness product.  The unperturbed sequence is also checked to
     break none (sanity half of the verdict).
+
+    Each perturbation δ is decided by the level's witness forms, which are
+    exact: every witness coefficient is affine in δ.  Only the level-k
+    entry P_k = T̂_k + sum(δ_i T̂_i) differs from T̂, and both readings that
+    involve it are affine in δ: a factor read from P_k into T̂, and a
+    product term read back onto P_k through T̂_k = P_k - sum(δ_i T̂_i).
+    The product between the two readings is bilinear.  In each kind at
+    most one of the two readings involves P_k:
+    - the level and base products have primitive factors, whose reading
+      is T̂'s own, and only their read-back can touch P_k (on (k,0), and
+      on the multiplicity-2 terms when k = 2);
+    - the input product reads its factor (k,0) from P_k, and its terms
+      (k,1) and (k,-1) are primitive;
+    - the annulus products multiply entries below k, and a monic
+      degree-k product reads back as 1 on P_k plus the T̂ expansion of
+      the rest; at k = 2 the second one is P_2 * P_0 = P_2, which reads
+      back as the unit vector whatever δ is.
+    So W(δ) = W(0) + sum(δ_i (W(e_i) - W(0))) holds exactly.
+
+    The first coefficient that is not positive, in kind order and then key
+    order, kills δ, as on the reference path.  A δ the forms let through is
+    re-checked on the reference path before it is reported as unkilled.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -178,6 +271,13 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
         if next(_uniqueness_witnesses(THAT, level, q1), None) is not None:
             report.t_hat_clean = False
     for level in range(2, n_max + 1):
+        # The unit perturbations e_i build the forms and are reused when
+        # the enumeration reaches them.
+        units = {}
+        for i in range(level):
+            e = tuple(int(j == i) for j in range(level))
+            units[e] = perturbed_that(level, e)
+        forms = _witness_forms(level, list(units.values()))
         killed: list[KilledPerturbation] = []
         unkilled: list[tuple[int, ...]] = []
         count = 0
@@ -187,13 +287,18 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
             if not any(deltas):
                 continue
             count += 1
-            P = perturbed_that(level, deltas)
-            hit = next(_uniqueness_witnesses(P, level, q1), None)
-            if hit is None:
-                unkilled.append(deltas)
-            else:
-                kind, label, coeff = hit
-                killed.append(KilledPerturbation(level, deltas, kind, label, coeff))
+            P = units[deltas] if deltas in units else perturbed_that(level, deltas)
+            hit = next(_first_witnesses(_form_values(forms, deltas), q1), None)
+            if hit is not None:
+                killed.append(KilledPerturbation(level, deltas, *hit))
+                continue
+            missed = next(_uniqueness_witnesses(P, level, q1), None)
+            if missed is not None:
+                raise AssertionError(
+                    f"witness forms at level {level} let {deltas} through, "
+                    f"but the {missed[0]} kills it"
+                )
+            unkilled.append(deltas)
         report.levels.append(UniquenessLevel(level, count, killed, unkilled))
     return report
 

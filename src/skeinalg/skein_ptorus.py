@@ -60,7 +60,7 @@ from .elements import (
     shifted,
     single,
 )
-from .laurent import ONE, q_power
+from .laurent import ONE, json_int, q_power
 from .polyseq import (
     CHEB_S,
     THAT,
@@ -416,7 +416,7 @@ def label_from_text(text: str) -> PTorusLabel:
 def _label_from_json(obj: dict) -> PTorusLabel:
     slope = obj.get("slope")
     return PTorusLabel(
-        None if slope is None else parse_slope(slope), int(obj.get("u", 0))
+        None if slope is None else parse_slope(slope), json_int(obj.get("u", 0))
     )
 
 

@@ -52,7 +52,7 @@ from .elements import (
     single,
     zero,
 )
-from .laurent import Laurent, ONE, const, q_power, quantum_int
+from .laurent import Laurent, ONE, const, json_int, q_power, quantum_int
 from .polyseq import CHEB_S, MONOMIAL, Poly1, PolySeq, X, builtin_sequence
 from .reports import Check, CheckReport
 
@@ -588,8 +588,10 @@ def operand_from_text(text: str) -> tuple[str | None, S04Label]:
 def _label_from_json(obj: dict) -> S04Label:
     slope = obj.get("slope")
     g = obj.get("g", [0, 0, 0, 0])
+    if not isinstance(g, list):
+        raise ValueError(f"peripheral exponents 'g' are not a list: {g!r}")
     return S04Label(
-        None if slope is None else parse_slope(slope), tuple(int(e) for e in g)
+        None if slope is None else parse_slope(slope), tuple(json_int(e) for e in g)
     )
 
 

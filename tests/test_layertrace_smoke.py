@@ -2,7 +2,10 @@
 
 A table row that held a rule captured at import would bypass the tracer's
 module rebinding, and its counter would read zero; this catches that in
-the test suite rather than only in a benchmark run.
+the test suite rather than only in a benchmark run.  The torus-unique case
+also checks the gates a benchmark run applies to that workload: the
+worker's cold-start guard, the perturbation count and every exercised
+counter.
 """
 
 import json
@@ -40,19 +43,58 @@ print(json.dumps({"codes": codes, "watched": watched, "results": tracer.results(
 """
 
 
-def test_tracer_counts_every_exercised_rule():
+UNIQUE_SCRIPT = r"""
+import contextlib, io, json
+import skeinalg.cli
+import worker
+cold = worker.cold_state_errors()
+import layertrace
+from workloads import EXERCISED, perturbation_count
+from skeinalg import cli, polyseq
+
+# As the worker does: read the cache before tracing rebinds its name.
+cache = polyseq.expansion_coeffs
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+misses = cache.cache_info().misses
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["certify", "torus-unique", "--n-max", "3", "--box", "1"])
+results = tracer.results()
+results["polyseq.coeff_misses"] = cache.cache_info().misses - misses
+print(json.dumps({
+    "cold": cold, "code": code, "count": perturbation_count(3, 1),
+    "watched": EXERCISED["torus-unique"], "results": results,
+}))
+"""
+
+
+def _run_traced(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "benchmarks")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_counts_every_exercised_rule():
+    out = _run_traced(SCRIPT)
     assert out["codes"] == [0, 0, 0, 0]
     assert out["watched"]
+    zero = [name for name in out["watched"] if not out["results"].get(name)]
+    assert zero == []
+
+
+def test_torus_unique_passes_the_benchmark_gates():
+    out = _run_traced(UNIQUE_SCRIPT)
+    assert out["cold"] == []
+    assert out["code"] == 0
+    assert out["count"] == 34
+    assert out["results"]["positivity.perturbations"] == out["count"]
     zero = [name for name in out["watched"] if not out["results"].get(name)]
     assert zero == []

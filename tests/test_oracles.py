@@ -157,6 +157,109 @@ def test_sequence_index_is_ascii(index):
         parse_sequence_table(f"0: 1\n{index}: 0 1\n", "t")
 
 
+# -- element JSON: a malformed term is one ValueError line naming it ------------
+
+LOADERS = {
+    "torus": (skein_torus, "(1,2)"),
+    "punctured-torus": (skein_ptorus, {"slope": "(1,2)", "u": 1}),
+    "sphere": (skein_s04, {"slope": "(1,2)", "g": [0, 1, 0, 2]}),
+}
+NOT_A_SLOPE = {"torus": 5, "punctured-torus": {"slope": 5}, "sphere": {"slope": [1, 2]}}
+
+BAD_TERMS = {
+    "no label": lambda label: {"coeff": {"0": 1}},
+    "no coeff": lambda label: {"label": label},
+    "not an object": lambda label: [label, {"0": 1}],
+    "coeff is a number": lambda label: {"label": label, "coeff": 3},
+    "coeff is a list": lambda label: {"label": label, "coeff": [[0, 1]]},
+    "float coefficient": lambda label: {"label": label, "coeff": {"0": 1.5}},
+    "bool coefficient": lambda label: {"label": label, "coeff": {"0": True}},
+    "foreign-digit exponent": lambda label: {"label": label, "coeff": {"\u0663": 1}},
+    "underscore exponent": lambda label: {"label": label, "coeff": {"1_0": 1}},
+    "bad exponent": lambda label: {"label": label, "coeff": {"q": 1}},
+}
+
+
+def _element(surface: str, term) -> dict:
+    module, label = LOADERS[surface]
+    good = {"label": label, "coeff": {"-2": 3, "1": "-12345678901234567890"}}
+    return {"surface": module.SURFACE, "basis": "that", "terms": [good, term]}
+
+
+def _assert_refuses_term_1(surface: str, term):
+    with pytest.raises(ValueError) as info:
+        LOADERS[surface][0].element_from_json(_element(surface, term))
+    message = str(info.value)
+    assert message.startswith("term 1: ") and "\n" not in message, message
+
+
+@pytest.mark.parametrize("surface", sorted(LOADERS))
+@pytest.mark.parametrize("case", sorted(BAD_TERMS))
+def test_loaders_refuse_malformed_terms(surface, case):
+    _assert_refuses_term_1(surface, BAD_TERMS[case](LOADERS[surface][1]))
+
+
+@pytest.mark.parametrize("surface", sorted(LOADERS))
+def test_loaders_refuse_a_slope_that_is_not_a_string(surface):
+    _assert_refuses_term_1(surface, {"label": NOT_A_SLOPE[surface], "coeff": {"0": 1}})
+
+
+def test_sphere_loader_refuses_exponents_that_are_not_a_list():
+    # A string of digits would otherwise be read one character per exponent.
+    label = {"slope": None, "g": "0102"}
+    _assert_refuses_term_1("sphere", {"label": label, "coeff": {"0": 1}})
+
+
+@pytest.mark.parametrize("surface", sorted(LOADERS))
+def test_loaders_refuse_a_malformed_envelope(surface):
+    module = LOADERS[surface][0]
+    for obj in ([], {"surface": module.SURFACE, "terms": {"label": "1"}}):
+        with pytest.raises(ValueError):
+            module.element_from_json(obj)
+
+
+@pytest.mark.parametrize("surface", sorted(LOADERS))
+def test_loaders_read_a_well_formed_term(surface):
+    module, label = LOADERS[surface]
+    term = {"label": label, "coeff": {"0": 1}}
+    elem = module.element_from_json(_element(surface, term))
+    assert module.element_from_json(elem.to_json_obj()) == elem
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, 2.0, True, False, None, [1], "1.5", "1_0", "\u0663"]
+)
+def test_laurent_json_coefficients_are_integers(value):
+    with pytest.raises(ValueError):
+        Laurent.from_json_obj({"0": value})
+
+
+json_keys = st.sampled_from(["slope", "u", "g", "0", "1", "label", "coeff"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(alphabet="(),0123456789-q_ g\u0663", max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=3),
+    max_leaves=8,
+)
+laurent_objects = st.dictionaries(st.text(max_size=3), json_values, max_size=3)
+terms = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"label": json_values, "coeff": json_values}),
+    st.fixed_dictionaries({"label": json_values, "coeff": laurent_objects}),
+)
+
+
+@pytest.mark.parametrize("surface", sorted(LOADERS))
+@given(term=terms)
+def test_loaders_raise_only_value_error(surface, term):
+    try:
+        LOADERS[surface][0].element_from_json(_element(surface, term))
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith("term 1: ") and "\n" not in message, message
+
+
 # -- the CLI answers bad input with one error line and exit 1 ------------------
 
 BAD_LABELS = [

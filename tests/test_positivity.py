@@ -1,12 +1,16 @@
+import functools
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skeinalg import polyseq
-from skeinalg.laurent import const
+from skeinalg import polyseq, positivity
+from skeinalg.laurent import ONE, const
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT, Poly1, PolySeq
 from skeinalg.positivity import (
+    KilledPerturbation,
     lower_bound_certify,
     perturbed_that,
     replay_uniqueness_witness,
@@ -30,6 +34,15 @@ def test_perturbed_sequence_shape():
         perturbed_that(2, (1,))
     with pytest.raises(ValueError):
         perturbed_that(1, (1,))
+
+
+def test_perturbed_that_shares_lower_entries_and_stops_at_level():
+    P = perturbed_that(3, (2, 0, -1))
+    assert P.name == "that-pert3[2,0,-1]"
+    assert all(P.poly(i) is THAT.poly(i) for i in range(3))
+    assert P.poly(3) == THAT.poly(3) + THAT.poly(0).scaled(2) - THAT.poly(2)
+    with pytest.raises(ValueError, match="only defined up to n = 3"):
+        P.poly(4)
 
 
 def test_uniqueness_level2_box3_all_violated():
@@ -162,3 +175,99 @@ def test_scan_witnesses_replay():
         b = label_from_text(w.inputs[1])
         prod = structure_constants(CHEB_S, a, b)
         assert prod.coeff(label_from_text(w.label)) == w.coeff
+
+
+# -- witness forms against the reference enumeration ---------------------------
+
+
+def reference_uniqueness(n_max: int, box: int, q1: bool):
+    """Per level, (killed, unkilled) with every perturbation's witness
+    products computed in its own perturbed sequence: the enumeration as it
+    was before the witness forms."""
+    levels = []
+    for level in range(2, n_max + 1):
+        killed, unkilled = [], []
+        for deltas in itertools.product(range(-box, box + 1), repeat=level):
+            if not any(deltas):
+                continue
+            P = perturbed_that(level, deltas)
+            hit = next(positivity._uniqueness_witnesses(P, level, q1), None)
+            if hit is None:
+                unkilled.append(deltas)
+            else:
+                killed.append(KilledPerturbation(level, deltas, *hit))
+        levels.append((killed, unkilled))
+    return levels
+
+
+@pytest.mark.parametrize(
+    "n_max,box,q1", [(3, 3, False), (4, 2, False), (4, 2, True), (5, 1, True)]
+)
+def test_forms_match_reference_enumeration(n_max, box, q1):
+    report = torus_uniqueness(n_max, box, q1=q1)
+    got = [(lv.killed, lv.unkilled) for lv in report.levels]
+    assert got == reference_uniqueness(n_max, box, q1)
+
+
+def _unit(level: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(level))
+
+
+@functools.lru_cache(maxsize=None)
+def _forms(level: int):
+    units = [perturbed_that(level, _unit(level, i)) for i in range(level)]
+    return positivity._witness_forms(level, units)
+
+
+def _nonzero(pairs):
+    return [(key, c) for key, c in pairs if c]
+
+
+perturbations = st.integers(6, 9).flatmap(
+    lambda level: st.lists(st.integers(-10, 10), min_size=level, max_size=level)
+).filter(lambda deltas: sum(1 for d in deltas if d) >= 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(perturbations)
+def test_forms_equal_reference_values(deltas):
+    # Entries reach outside every box the enumeration uses: the forms are
+    # exact, not fitted to the box.
+    level, deltas = len(deltas), tuple(deltas)
+    reference = positivity._witness_values(perturbed_that(level, deltas), level)
+    from_forms = positivity._form_values(_forms(level), deltas)
+    for (kind, ref_pairs), (form_kind, form_pairs) in zip(
+        reference, from_forms, strict=True
+    ):
+        assert form_kind == kind
+        assert _nonzero(form_pairs) == _nonzero(ref_pairs)
+
+
+def test_enumeration_builds_each_perturbation_once(monkeypatch):
+    built = []
+    perturbed = positivity.perturbed_that
+
+    def counting(level, deltas):
+        built.append((level, deltas))
+        return perturbed(level, deltas)
+
+    monkeypatch.setattr(positivity, "perturbed_that", counting)
+    torus_uniqueness(3, 1)
+    assert len(built) == len(set(built)) == (3**2 - 1) + (3**3 - 1)
+
+
+def test_survivor_recheck_catches_forms_that_clear_a_killed_perturbation(monkeypatch):
+    # The reference kills (1, 0), since P_2 = S_2; forms that read every
+    # coefficient at it as 1 let it through, and the re-check must refuse.
+    (killed, _), = reference_uniqueness(2, 1, False)
+    assert (1, 0) in [rec.deltas for rec in killed]
+    form_values = positivity._form_values
+
+    def clearing(forms, deltas):
+        if deltas == (1, 0):
+            return ((kind, [(key, ONE) for key, *_ in terms]) for kind, terms in forms)
+        return form_values(forms, deltas)
+
+    monkeypatch.setattr(positivity, "_form_values", clearing)
+    with pytest.raises(AssertionError, match=r"let \(1, 0\) through"):
+        torus_uniqueness(2, 1)
