@@ -1,11 +1,10 @@
-"""Command line front end.
+"""Command line front end: one table, one output path.
 
-Exit codes: 0 for a successful check or computation, 2 when a requested
-certification finds a genuine positivity violation (a successful
-computation with a negative answer), 1 for usage or parse errors.
-
-Output is deterministic: labels are sorted, Laurent exponents ascend, and
-JSON is emitted compactly with a fixed key order.
+Each subcommand is one row of ``COMMANDS``: its help string, its arguments
+as ``(name, add_argument kwargs)`` pairs, and ``run(args)``, which returns
+``(passed, json_obj, text_lines)``, the verdict and one thunk per rendering.
+``build_parser`` adds the rows, each with ``--json``; ``main`` prints one
+rendering and exits 0 if the verdict passed, else 2.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import positivity, skein_ptorus, skein_s04, skein_torus
 from .polyseq import (
@@ -25,15 +25,14 @@ from .polyseq import (
 )
 from .reports import run_check
 
-_DISPLAY = {"that": "That", "s": "S", "t": "T", "monomial": "Monomial"}
+# What -h prints, as one paragraph: argparse refills the text.
+DESCRIPTION = """Command line front end. Exit codes: 0 for a successful check or computation,
+2 when a requested certification finds a genuine positivity violation (a successful
+computation with a negative answer), 1 for usage or parse errors. Output is deterministic:
+labels are sorted, Laurent exponents ascend, and JSON is emitted compactly with a fixed key
+order."""
 
-
-def _display(name: str) -> str:
-    return _DISPLAY.get(name, name)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+_DISPLAY = {"that": "That", "s": "S", "monomial": "Monomial"}
 
 
 def resolve_sequence(spec: str) -> PolySeq:
@@ -42,333 +41,243 @@ def resolve_sequence(spec: str) -> PolySeq:
     return builtin_sequence(spec)
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage errors exit 1; exit 2 is reserved for certified violations.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def _element(elem):
+    return True, elem.to_json_obj, lambda: [elem.text()]
 
 
-def _print_element(elem, as_json: bool) -> int:
-    print(_dump(elem.to_json_obj()) if as_json else elem.text())
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    report = run_check(args.checks, args.check, args.n_max)
-    print(_dump(report.to_json_obj()) if args.json else report.summary)
-    return 0 if report.passed else 2
-
-
-# -- tor -----------------------------------------------------------------------
-
-
-def _cmd_tor_mul(args) -> int:
+def _tor_mul(args):
     P = resolve_sequence(args.basis)
-    a = skein_torus.label_from_text(args.a)
-    b = skein_torus.label_from_text(args.b)
-    return _print_element(skein_torus.structure_constants(P, a, b), args.json)
+    a, b = (skein_torus.label_from_text(x) for x in (args.a, args.b))
+    return _element(skein_torus.structure_constants(P, a, b))
 
 
-def _cmd_tor_scan(args) -> int:
+def _tor_scan(args):
     P = resolve_sequence(args.basis)
     report = skein_torus.positivity_scan(P, args.bound, q1=args.q1)
-    if args.json:
-        print(_dump(report.to_json_obj()))
-    else:
-        print(
-            f"torus scan: basis={P.name} bound={report.bound} q1={report.q1}"
-        )
-        print(f"verdict: {report.verdict}")
+
+    def text():
+        yield f"torus scan: basis={P.name} bound={report.bound} q1={report.q1}"
+        yield f"verdict: {report.verdict}"
         if report.witnesses:
-            print(f"violations: {len(report.witnesses)}")
             w = report.first_witness()
-            print(
-                f"first witness: {w.inputs[0]} * {w.inputs[1]} -> "
-                f"label {w.label}, coefficient {w.coeff}"
-            )
-    return 0 if report.passed else 2
+            yield f"violations: {len(report.witnesses)}"
+            yield (f"first witness: {w.inputs[0]} * {w.inputs[1]} -> "
+                   f"label {w.label}, coefficient {w.coeff}")
+
+    return report.passed, report.to_json_obj, text
 
 
-# -- ptor ----------------------------------------------------------------------
+def _ptor_mul(args):
+    a, b = (skein_ptorus.label_from_text(x) for x in (args.a, args.b))
+    return _element(skein_ptorus.product(a, b))
 
 
-def _cmd_ptor_mul(args) -> int:
-    a = skein_ptorus.label_from_text(args.a)
-    b = skein_ptorus.label_from_text(args.b)
-    return _print_element(skein_ptorus.product(a, b), args.json)
-
-
-def _cmd_ptor_extract(args) -> int:
+def _ptor_extract(args):
     P = resolve_sequence(args.seq)
     low, elem = skein_ptorus.upper_bound_extract(P, args.n)
-    if args.json:
-        print(
-            _dump(
-                {"n": args.n, "lowest_exponent": low, "element": elem.to_json_obj()}
-            )
-        )
-    else:
-        print(f"lowest q-exponent of ({args.n},1)*(0,1) in basis {P.name}: {low}")
-        print(f"element: {elem.text()}")
-    return 0
+    head = {"n": args.n, "lowest_exponent": low}
+    return True, lambda: {**head, "element": elem.to_json_obj()}, lambda: [
+        f"lowest q-exponent of ({args.n},1)*(0,1) in basis {P.name}: {low}",
+        f"element: {elem.text()}",
+    ]
 
 
-# -- s04 -----------------------------------------------------------------------
-
-
-def _cmd_s04_mul(args) -> int:
+def _s04_mul(args):
     fa, a = skein_s04.operand_from_text(args.a)
     fb, b = skein_s04.operand_from_text(args.b)
     if fa and fb and fa != fb:
         raise ValueError("both labels must use the same basis letter")
-    return _print_element(skein_s04.product(a, b, fa or fb or "s"), args.json)
+    return _element(skein_s04.product(a, b, fa or fb or "s"))
 
 
-def _cmd_s04_extract(args) -> int:
+def _s04_extract(args):
     n = args.n
     low, elem, matches = skein_s04.extract_lowest_s04(n)
-    if args.json:
-        print(
-            _dump(
-                {
-                    "n": n,
-                    "lowest_exponent": low,
-                    "element": elem.to_json_obj(),
-                    "matches_expected": matches,
-                }
-            )
-        )
-    else:
-        print(f"lowest q-exponent of ({n},1)*(0,1): {low}")
-        print(f"element: {elem.text()}")
-        print(f"matches q^{-2*n} * ({n},0): {'yes' if matches else 'no'}")
-    return 0 if matches else 2
+
+    def obj():
+        return {"n": n, "lowest_exponent": low, "element": elem.to_json_obj(),
+                "matches_expected": matches}
+
+    return matches, obj, lambda: [
+        f"lowest q-exponent of ({n},1)*(0,1): {low}",
+        f"element: {elem.text()}",
+        f"matches q^{-2*n} * ({n},0): {'yes' if matches else 'no'}",
+    ]
 
 
-def _cmd_s04_force_p1(args) -> int:
-    report = skein_s04.p1_forcing_witness(args.delta)
-    if args.json:
-        print(_dump(report.to_json_obj()))
-    else:
-        print(f"perturbing the linear entry by {report.delta}:")
-        print(
-            f"  peripheral witness {report.gamma_label.text()}: "
-            f"coefficient {report.gamma_coeff}"
-        )
-        print(
-            f"  curve witness {report.slope_label.text()}: "
-            f"coefficient {report.slope_coeff}"
-        )
-        print(f"  non-positive labels: {len(report.violations)}")
-    return 2
+def _s04_force_p1(args):
+    r = skein_s04.p1_forcing_witness(args.delta)
+    return False, r.to_json_obj, lambda: [
+        f"perturbing the linear entry by {r.delta}:",
+        f"  peripheral witness {r.gamma_label.text()}: coefficient {r.gamma_coeff}",
+        f"  curve witness {r.slope_label.text()}: coefficient {r.slope_coeff}",
+        f"  non-positive labels: {len(r.violations)}",
+    ]
 
 
-# -- certify ---------------------------------------------------------------------
-
-
-def _cmd_certify_torus_unique(args) -> int:
+def _certify_torus_unique(args):
     report = positivity.torus_uniqueness(args.n_max, args.box, q1=args.q1)
-    if args.json:
-        print(_dump(report.to_json_obj()))
-    else:
-        print(
-            f"torus uniqueness: levels 2..{report.n_max}, "
-            f"box {report.coeff_box}, q1={report.q1}"
-        )
+
+    def text():
+        yield (f"torus uniqueness: levels 2..{report.n_max}, "
+               f"box {report.coeff_box}, q1={report.q1}")
         for lv in report.levels:
-            print(
-                f"level {lv.level}: {lv.n_perturbations} perturbations, "
-                f"{'all violated' if lv.all_killed else f'{len(lv.unkilled)} survived'}"
-            )
-        print(f"unperturbed sequence clean: {report.t_hat_clean}")
-        print(f"verdict: {report.verdict}")
-    return 0 if report.certified else 2
+            fate = "all violated" if lv.all_killed else f"{len(lv.unkilled)} survived"
+            yield f"level {lv.level}: {lv.n_perturbations} perturbations, {fate}"
+        yield f"unperturbed sequence clean: {report.t_hat_clean}"
+        yield f"verdict: {report.verdict}"
+
+    return report.certified, report.to_json_obj, text
 
 
-def _cmd_certify_sandwich(args) -> int:
+def _certify_sandwich(args):
     P = resolve_sequence(args.seq)
     report = positivity.sandwich_check(P, args.n_max, q1=args.q1)
-    if args.json:
-        print(_dump(report.to_json_obj()))
-    else:
-        print(f"sandwich check: sequence={P.name} n_max={report.n_max}")
-        lo, up = report.lower, report.upper
-        print(
-            f"(That) <= ({_display(P.name)}): "
-            + ("holds" if lo.holds else f"fails, witness {lo.witness}")
-        )
-        print(
-            f"({_display(P.name)}) <= (S): "
-            + ("holds" if up.holds else f"fails, witness {up.witness}")
-        )
-        print(f"passed: {report.passed}")
-    return 0 if report.passed else 2
+    shown = _DISPLAY.get(P.name, P.name)
+
+    def verdict(result):
+        return "holds" if result.holds else f"fails, witness {result.witness}"
+
+    return report.passed, report.to_json_obj, lambda: [
+        f"sandwich check: sequence={P.name} n_max={report.n_max}",
+        f"(That) <= ({shown}): {verdict(report.lower)}",
+        f"({shown}) <= (S): {verdict(report.upper)}",
+        f"passed: {report.passed}",
+    ]
 
 
-# -- cheb / order -----------------------------------------------------------------
-
-
-def _cmd_cheb(args) -> int:
+def _cheb(args):
     p = chebyshev(args.kind, args.n)
+    head = {"kind": args.kind, "n": args.n}
     if args.subst_t:
         value = substitute_t(p)
-        if args.json:
-            print(_dump({"kind": args.kind, "n": args.n, "t_value": value.to_json_obj()}))
-        else:
-            print(str(value))
-        return 0
-    if args.json:
-        print(
-            _dump(
-                {
-                    "kind": args.kind,
-                    "n": args.n,
-                    "coeffs": [c.to_json_obj() for c in p.coeffs],
-                }
-            )
-        )
-    else:
-        print(str(p))
-    return 0
+        return True, lambda: {**head, "t_value": value.to_json_obj()}, lambda: [str(value)]
+    return (True, lambda: {**head, "coeffs": [c.to_json_obj() for c in p.coeffs]},
+            lambda: [str(p)])
 
 
-def _cmd_order(args) -> int:
+def _order(args):
     P = resolve_sequence(args.left)
     Q = resolve_sequence(args.right)
     result = seq_leq(P, Q, args.n_max, q1=args.q1)
-    if args.json:
-        obj = {
-            "relation": "leq",
-            "left": P.name,
-            "right": Q.name,
-            "n_max": args.n_max,
-        }
-        obj.update(result.to_json_obj())
-        print(_dump(obj))
+    relation = f"({_DISPLAY.get(P.name, P.name)}) <= ({_DISPLAY.get(Q.name, Q.name)})"
+    if result.holds:
+        line = f"{relation} certified to n={args.n_max}"
     else:
-        if result.holds:
-            print(
-                f"({_display(P.name)}) <= ({_display(Q.name)}) "
-                f"certified to n={args.n_max}"
-            )
-        else:
-            n, k, c = result.witness
-            print(
-                f"({_display(P.name)}) <= ({_display(Q.name)}) fails at "
-                f"n={n}: coefficient {c} on index {k}"
-            )
-    return 0 if result.holds else 2
+        n, k, c = result.witness
+        line = f"{relation} fails at n={n}: coefficient {c} on index {k}"
+    head = {"relation": "leq", "left": P.name, "right": Q.name, "n_max": args.n_max}
+    return result.holds, lambda: {**head, **result.to_json_obj()}, lambda: [line]
 
 
-# -- wiring -----------------------------------------------------------------------
+class Command(NamedTuple):
+    help: str
+    args: tuple
+    run: Callable
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="skein", description=__doc__)
+def _int(default):
+    return {"type": int, "default": default}
+
+
+# Shared argument specs.
+N_MAX = ("--n-max", _int(20))
+N = ("--n", _int(20))
+Q1 = ("--q1", {"action": "store_true"})
+OPERANDS = (("a", {}), ("b", {}))
+BASIS = ("--basis", {"default": "that"})
+
+
+def _verify(table) -> Command:
+    def run(args):
+        report = run_check(table, args.check, args.n_max)
+        return report.passed, report.to_json_obj, lambda: [report.summary]
+
+    args = (("check", {"choices": list(table)}), N_MAX)
+    return Command("mechanized identity checks", args, run)
+
+
+# Help strings of the commands that group subcommands.
+GROUPS = {
+    "tor": "closed torus", "ptor": "once-punctured torus", "s04": "four-punctured sphere",
+    "certify": "bounded positivity certifications", "order": "bounded sequence order",
+}
+
+# Keyed by (command, subcommand), with None for a command without one.
+# build_parser adds the rows in this order, which is the order -h lists.
+COMMANDS = {
+    ("tor", "mul"): Command("product of two basis labels", (*OPERANDS, BASIS), _tor_mul),
+    ("tor", "scan"): Command(
+        "positivity scan over a slope box", (BASIS, ("--bound", _int(3)), Q1), _tor_scan
+    ),
+    ("ptor", "mul"): Command("product of two supported labels", OPERANDS, _ptor_mul),
+    ("ptor", "verify"): _verify(skein_ptorus.CHECKS),
+    ("ptor", "extract"): Command(
+        "lowest q-layer of (n,1)*(0,1)", (("--seq", {"default": "s"}), N), _ptor_extract
+    ),
+    ("s04", "mul"): Command("product of two supported labels", OPERANDS, _s04_mul),
+    ("s04", "verify"): _verify(skein_s04.CHECKS),
+    ("s04", "extract"): Command("lowest q-layer of (n,1)*(0,1)", (N,), _s04_extract),
+    ("s04", "force-p1"): Command(
+        "perturb the linear entry", (("--delta", {"type": int, "required": True}),),
+        _s04_force_p1,
+    ),
+    ("certify", "torus-unique"): Command(
+        "perturbation enumeration",
+        (("--n-max", _int(3)), ("--box", _int(2)), Q1),
+        _certify_torus_unique,
+    ),
+    ("certify", "sandwich"): Command(
+        "necessary order condition", (("--seq", {"required": True}), N_MAX, Q1),
+        _certify_sandwich,
+    ),
+    ("cheb", None): Command(
+        "Chebyshev-type polynomials",
+        (("kind", {"choices": ["t", "that", "s"]}), ("n", {"type": int}),
+         ("--subst-t", {"action": "store_true"})),
+        _cheb,
+    ),
+    ("order", "leq"): Command(
+        "check (left) <= (right)", (("left", {}), ("right", {}), N_MAX, Q1), _order
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="skein", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tor = sub.add_parser("tor", help="closed torus")
-    tor_sub = tor.add_subparsers(dest="subcommand", required=True)
-    p = tor_sub.add_parser("mul", help="product of two basis labels")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--basis", default="that")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tor_mul)
-    p = tor_sub.add_parser("scan", help="positivity scan over a slope box")
-    p.add_argument("--basis", default="that")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--q1", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tor_scan)
-
-    ptor = sub.add_parser("ptor", help="once-punctured torus")
-    ptor_sub = ptor.add_subparsers(dest="subcommand", required=True)
-    p = ptor_sub.add_parser("mul", help="product of two supported labels")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ptor_mul)
-    p = ptor_sub.add_parser("verify", help="mechanized identity checks")
-    p.add_argument("check", choices=list(skein_ptorus.CHECKS))
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify, checks=skein_ptorus.CHECKS)
-    p = ptor_sub.add_parser("extract", help="lowest q-layer of (n,1)*(0,1)")
-    p.add_argument("--seq", default="s")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ptor_extract)
-
-    s04 = sub.add_parser("s04", help="four-punctured sphere")
-    s04_sub = s04.add_subparsers(dest="subcommand", required=True)
-    p = s04_sub.add_parser("mul", help="product of two supported labels")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_s04_mul)
-    p = s04_sub.add_parser("verify", help="mechanized identity checks")
-    p.add_argument("check", choices=list(skein_s04.CHECKS))
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify, checks=skein_s04.CHECKS)
-    p = s04_sub.add_parser("extract", help="lowest q-layer of (n,1)*(0,1)")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_s04_extract)
-    p = s04_sub.add_parser("force-p1", help="perturb the linear entry")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_s04_force_p1)
-
-    certify = sub.add_parser("certify", help="bounded positivity certifications")
-    certify_sub = certify.add_subparsers(dest="subcommand", required=True)
-    p = certify_sub.add_parser("torus-unique", help="perturbation enumeration")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--box", type=int, default=2)
-    p.add_argument("--q1", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify_torus_unique)
-    p = certify_sub.add_parser("sandwich", help="necessary order condition")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--q1", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify_sandwich)
-
-    p = sub.add_parser("cheb", help="Chebyshev-type polynomials")
-    p.add_argument("kind", choices=["t", "that", "s"])
-    p.add_argument("n", type=int)
-    p.add_argument("--subst-t", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cheb)
-
-    p = sub.add_parser("order", help="bounded sequence order")
-    order_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = order_sub.add_parser("leq", help="check (left) <= (right)")
-    q.add_argument("left")
-    q.add_argument("right")
-    q.add_argument("--n-max", type=int, default=20)
-    q.add_argument("--q1", action="store_true")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=_cmd_order)
-
+    groups = {}
+    for (command, subcommand), row in COMMANDS.items():
+        if subcommand is None:
+            p = sub.add_parser(command, help=row.help)
+        else:
+            if command not in groups:
+                group = sub.add_parser(command, help=GROUPS[command])
+                groups[command] = group.add_subparsers(dest="subcommand", required=True)
+            p = groups[command].add_parser(subcommand, help=row.help)
+        for name, kwargs in row.args:
+            p.add_argument(name, **kwargs)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(run=row.run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+        # Usage errors exit 1; exit 2 is reserved for certified violations.
+        return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        passed, json_obj, text_lines = args.run(args)
+        if args.json:
+            print(json.dumps(json_obj(), separators=(",", ":")))
+        else:
+            print("\n".join(text_lines()))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 2
 
 
 def entry():

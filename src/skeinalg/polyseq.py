@@ -390,12 +390,14 @@ def seq_leq(P: PolySeq, Q: PolySeq, n_max: int, *, q1: bool = False) -> SeqLeqRe
 
     Holds iff every Q_n expands over P_0..P_n with positive coefficients.
     With ``q1`` the coefficients are first specialized at q = 1.
+    ``n_max`` must be at least 1: P_0 = Q_0 = 1 for normalized sequences,
+    so index 0 alone would certify any pair.
     """
     for seq in (P, Q):
         if not seq.normalized:
             raise ValueError(f"sequence {seq.name!r} is not normalized")
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     for n in range(n_max + 1):
         for k, c in enumerate(expand_in(Q.poly(n), P)):
             if not c.is_positive(q1):

@@ -97,7 +97,9 @@ class CheckReport:
 
 class Check(NamedTuple):
     """One row of a surface's check table: the least ``n_max`` whose index
-    range is not empty, and ``run(n_max)``, which checks every index."""
+    range holds an index that is not a seed both sides share (below it the
+    check would pass vacuously), and ``run(n_max)``, which checks every
+    index."""
 
     least_n_max: int
     run: Callable[[int], CheckReport]

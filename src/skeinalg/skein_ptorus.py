@@ -378,7 +378,8 @@ def _consistency_check(n_max: int) -> CheckReport:
 
 
 CHECKS = {
-    "g-closed": Check(0, _g_closed_check),
+    # G_0 = G_1 = 0 seed the recursion; n = 2 is the first index it computes.
+    "g-closed": Check(2, _g_closed_check),
     "consistency": Check(2, _consistency_check),
 }
 

@@ -341,9 +341,11 @@ def lowest_q_term_s04(n: int) -> list[tuple[int, SkeinElement]]:
 
 
 def extract_lowest_s04(n: int) -> tuple[int, SkeinElement, bool]:
-    """The last entry of ``lowest_q_term_s04(n)`` and whether it is q^-2n
-    times (n,0)."""
-    low, elem = lowest_q_term_s04(n)[-1]
+    """The last entry of ``lowest_q_term_s04(n)``, read off the n-th product
+    alone, and whether it is q^-2n times (n,0)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    low, elem = lowest_q_layer(mul_sn1_s01(n)[n])
     want = single(SURFACE, "s", S04Label(curve(n, 0)))
     return low, elem, low == -2 * n and elem == want
 
@@ -484,7 +486,8 @@ def _h_positive_check(n_max: int) -> CheckReport:
 
 CHECKS = {
     "h-bounds": Check(1, _h_bounds_check),
-    "tna-b": Check(0, _tna_b_check),
+    # At n = 0 both sides are the seed 2*(0,1).
+    "tna-b": Check(1, _tna_b_check),
     "sigma": Check(1, _sigma_check),
     "h-positive": Check(1, _h_positive_check),
 }

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from skeinalg import polyseq, skein_ptorus, skein_s04, skein_torus
-from skeinalg.cli import main
+from skeinalg import polyseq, positivity, skein_ptorus, skein_s04, skein_torus
+from skeinalg.cli import build_parser, main
 
 GOLDEN_TOR_MUL = (
     '{"surface":"t10","basis":"that","terms":'
@@ -303,6 +304,13 @@ CHECK_ROWS = [
         ["s04", "verify", "tna-b", "--n-max", "-1"],
         ["order", "leq", "that", "s", "--n-max", "-1"],
         ["certify", "sandwich", "--seq", "s", "--n-max", "-1"],
+        # Index 0 alone, or seeds both sides share, would pass vacuously.
+        ["order", "leq", "monomial", "that", "--n-max", "0"],
+        ["order", "leq", "monomial", "that", "--n-max", "0", "--json"],
+        ["certify", "sandwich", "--seq", "monomial", "--n-max", "0"],
+        ["ptor", "verify", "g-closed", "--n-max", "1"],
+        ["ptor", "verify", "g-closed", "--n-max", "0", "--json"],
+        ["s04", "verify", "tna-b", "--n-max", "0"],
     ]
     + [
         pytest.param([surface, "verify", name, "--n-max", str(least - 1)], id=name)
@@ -359,3 +367,194 @@ def test_no_element_outlives_a_call():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0] * 8, "alive": 0}
+
+
+# (argv, exit code, SHA-256 of stdout) for the renderings no other test
+# pins byte for byte: scan text on both paths, the certifications in text
+# and JSON with q1 off and on, both JSON forms of cheb, the failing order
+# and the punctured-surface products as text.
+STDOUT_GOLDENS = [
+    (["tor", "scan", "--basis", "that", "--bound", "3"], 0,
+     "719f6cdbe1de7deaa6c9b18fea8763928ca4cedf48cf3ef07e36fb96b465cb04"),
+    (["tor", "scan", "--basis", "s", "--bound", "3"], 2,
+     "47a84620d52233655912dba423cc92f1e9323a0e387c023272b9dc8353e7c517"),
+    (["tor", "scan", "--basis", "monomial", "--bound", "2", "--q1"], 2,
+     "8a5dda91785f2f3ec9b5ab55b04b6ff5a683e0ecb9760fa40b74eeab34f1dbd6"),
+    (["certify", "torus-unique", "--n-max", "3", "--box", "1"], 0,
+     "88eb07f809d03c637e7edacfb9f653dc7d5b3ace0d396ceaabda43f29fdce026"),
+    (["certify", "torus-unique", "--n-max", "3", "--box", "1", "--json"], 0,
+     "48725810e15dea3cd9cc2b733f78f13a5d74c3dd6d9e67fb8560da4d5de4936e"),
+    (["certify", "torus-unique", "--n-max", "3", "--box", "1", "--q1"], 0,
+     "aa78592a9021ed91fc6e5b289a7250e7b0ee577302f8e901812a85eae09e9653"),
+    (["certify", "torus-unique", "--n-max", "3", "--box", "1", "--q1", "--json"], 0,
+     "2f56c6a4e8740b2fff0345da7e27d68ff50048a322bfe0b5b757004bb0a865a4"),
+    (["certify", "sandwich", "--seq", "s", "--n-max", "6"], 0,
+     "5bd357bcc93cc82de3dda3bb81e997d55c9ff4b11cffbd4fecd2002f4cfb94fe"),
+    (["certify", "sandwich", "--seq", "s", "--n-max", "6", "--json"], 0,
+     "c2e7695eb3e3ecfc5a052cf52739f1bf23b146d7ac97a3179ece30116b924769"),
+    (["certify", "sandwich", "--seq", "monomial", "--n-max", "6"], 2,
+     "a5e0306e1d56d7e4ecb9a1c9261eef68ea0231a14855593cf2636c5e8145f1e4"),
+    (["certify", "sandwich", "--seq", "monomial", "--n-max", "6", "--json"], 2,
+     "728f5edfd0091aeab0376aa9bb0b0fb0b6f2460ad25fd6161b3d9bc155a54e0d"),
+    (["certify", "sandwich", "--seq", "that", "--n-max", "6", "--q1"], 0,
+     "6021ecf77b2b54ea774bf9cf4d9e287b681af087c1e32e962d040da80b9eac61"),
+    (["certify", "sandwich", "--seq", "that", "--n-max", "6", "--q1", "--json"], 0,
+     "78c38590c6a30c0265f430e90cbdbbd8f70d036e37d8397f9e0e98f7fc1974c5"),
+    (["certify", "sandwich", "--seq", "monomial", "--n-max", "6", "--q1"], 2,
+     "a5e0306e1d56d7e4ecb9a1c9261eef68ea0231a14855593cf2636c5e8145f1e4"),
+    (["certify", "sandwich", "--seq", "monomial", "--n-max", "6", "--q1", "--json"], 2,
+     "728f5edfd0091aeab0376aa9bb0b0fb0b6f2460ad25fd6161b3d9bc155a54e0d"),
+    (["cheb", "that", "5", "--json"], 0,
+     "49219bf79544135b87cc74a1363fd2f41f77b7831742936582faf248dd8ad626"),
+    (["cheb", "s", "4", "--subst-t", "--json"], 0,
+     "e4d05f58fe3dd615b39003c9dd779754fbef6fdb727e2174d8670645bdc2460d"),
+    (["order", "leq", "s", "that", "--n-max", "6"], 2,
+     "834f18829711c52a2d3fd0075da6bcf3925fc16ea216608a361b1888bcabf810"),
+    (["order", "leq", "s", "that", "--n-max", "6", "--json"], 2,
+     "dd78fc6b8b2291a7350e49d031cb437d476679f0b3f2e9f3ed093c5ce42f7fef"),
+    (["order", "leq", "monomial", "that", "--n-max", "6", "--q1"], 2,
+     "91d9c45901093eb5ee0d7b0ab77041986c1b35d6e07a55b4db3d454819114a19"),
+    (["order", "leq", "monomial", "that", "--n-max", "6", "--q1", "--json"], 2,
+     "c1890359205496b614e03719c7f88ad93dee9cf7c8964af3fa086abf17aa6d00"),
+    (["ptor", "mul", "T(3,1)", "T(0,1)"], 0,
+     "47ae3c0c8eb4b4704b171e0de28a8e5ed55e7d6370e59c9fd426f0481e1ecce9"),
+    (["ptor", "mul", "T(1,0)", "T(2,2)"], 0,
+     "b6724b57465d43edb2100f0893629eefd43bc86eaacda85c3676e5011caf2474"),
+    (["s04", "mul", "S(2,1)", "S(0,1)"], 0,
+     "4407056f07ae22c57915de4a286ed3705bf53adaac0e6d57c307c915c225aefd"),
+    (["s04", "mul", "T(3,0)", "T(0,1)"], 0,
+     "b0ac15055d75efcce8940981e713728ffaa159b2a3468fddfaabaa6642df3740"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,sha", STDOUT_GOLDENS, ids=[" ".join(g[0]) for g in STDOUT_GOLDENS]
+)
+def test_stdout_golden(capsys, argv, code, sha):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+    assert captured.err == ""
+
+
+def test_certify_torus_unique_survivor_rendering(capsys, monkeypatch):
+    # No bounded run has a survivor, so the report is made by hand: the
+    # "survived" line, the not-certified verdict and exit 2.
+    def report(n_max, box, q1=False):
+        levels = [
+            positivity.UniquenessLevel(2, 8, [], []),
+            positivity.UniquenessLevel(3, 26, [], [(1, 0, -1), (0, 0, 1)]),
+        ]
+        return positivity.UniquenessReport(n_max, box, q1, levels, t_hat_clean=False)
+
+    monkeypatch.setattr(positivity, "torus_uniqueness", report)
+    code, out = run(capsys, "certify", "torus-unique", "--n-max", "3", "--box", "1")
+    assert code == 2
+    assert out == (
+        "torus uniqueness: levels 2..3, box 1, q1=False\n"
+        "level 2: 8 perturbations, all violated\n"
+        "level 3: 26 perturbations, 2 survived\n"
+        "unperturbed sequence clean: False\n"
+        "verdict: not-certified\n"
+    )
+    code, out = run(capsys, "certify", "torus-unique", "--n-max", "3", "--box", "1", "--json")
+    assert code == 2
+    assert json.loads(out)["levels"][1] == {
+        "level": 3, "n_perturbations": 26, "all_killed": False,
+        "unkilled": [[1, 0, -1], [0, 0, 1]],
+    }
+
+
+# Every subcommand's arguments as (option strings or dest, default, type,
+# choices, required), in the order the parser lists them.
+PARSER_SHAPE = [
+    (("tor", "mul"), [
+        ("a", None, None, None, True),
+        ("b", None, None, None, True),
+        (("--basis",), "that", None, None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("tor", "scan"), [
+        (("--basis",), "that", None, None, False),
+        (("--bound",), 3, "int", None, False),
+        (("--q1",), False, None, None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("ptor", "mul"), [
+        ("a", None, None, None, True),
+        ("b", None, None, None, True),
+        (("--json",), False, None, None, False),
+    ]),
+    (("ptor", "verify"), [
+        ("check", None, None, ["g-closed", "consistency"], True),
+        (("--n-max",), 20, "int", None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("ptor", "extract"), [
+        (("--seq",), "s", None, None, False),
+        (("--n",), 20, "int", None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("s04", "mul"), [
+        ("a", None, None, None, True),
+        ("b", None, None, None, True),
+        (("--json",), False, None, None, False),
+    ]),
+    (("s04", "verify"), [
+        ("check", None, None, ["h-bounds", "tna-b", "sigma", "h-positive"], True),
+        (("--n-max",), 20, "int", None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("s04", "extract"), [
+        (("--n",), 20, "int", None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("s04", "force-p1"), [
+        (("--delta",), None, "int", None, True),
+        (("--json",), False, None, None, False),
+    ]),
+    (("certify", "torus-unique"), [
+        (("--n-max",), 3, "int", None, False),
+        (("--box",), 2, "int", None, False),
+        (("--q1",), False, None, None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("certify", "sandwich"), [
+        (("--seq",), None, None, None, True),
+        (("--n-max",), 20, "int", None, False),
+        (("--q1",), False, None, None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("cheb", None), [
+        ("kind", None, None, ["t", "that", "s"], True),
+        ("n", None, "int", None, True),
+        (("--subst-t",), False, None, None, False),
+        (("--json",), False, None, None, False),
+    ]),
+    (("order", "leq"), [
+        ("left", None, None, None, True),
+        ("right", None, None, None, True),
+        (("--n-max",), 20, "int", None, False),
+        (("--q1",), False, None, None, False),
+        (("--json",), False, None, None, False),
+    ]),
+]
+
+
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def test_parser_shape():
+    shape = []
+    for name, sub in _subparsers(build_parser())[0].choices.items():
+        nested = _subparsers(sub)
+        leaves = nested[0].choices.items() if nested else [(None, sub)]
+        for subname, leaf in leaves:
+            shape.append(((name, subname), [
+                (tuple(a.option_strings) or a.dest, a.default,
+                 a.type.__name__ if a.type else None,
+                 list(a.choices) if a.choices else None, a.required)
+                for a in leaf._actions if not isinstance(a, argparse._HelpAction)
+            ]))
+    assert shape == PARSER_SHAPE

@@ -14,6 +14,7 @@ from skeinalg.skein_s04 import (
     apply_sigma,
     c_element,
     element_from_json,
+    extract_lowest_s04,
     gamma_pair_ab,
     gamma_quad,
     g_s04_closed,
@@ -217,6 +218,17 @@ def test_lowest_q_term():
         assert elem == single(SURFACE, "s", slabel(n, 0))
     with pytest.raises(ValueError):
         lowest_q_term_s04(0)
+
+
+def test_extract_reads_the_last_layer():
+    # The extraction splits only the n-th product; the reference splits all.
+    for n in range(1, 9):
+        low, elem, matches = extract_lowest_s04(n)
+        assert (low, elem) == lowest_q_term_s04(n)[-1]
+        assert matches
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            extract_lowest_s04(n)
 
 
 def test_gamma_centrality():
