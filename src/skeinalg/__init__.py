@@ -13,7 +13,6 @@ from .elements import NoProductRuleError, SkeinElement, split_by_q_exponent
 from .laurent import Laurent, parse_laurent, q_power, quantum_int
 from .polyseq import (
     CHEB_S,
-    CHEB_T,
     MONOMIAL,
     THAT,
     Poly1,
@@ -44,7 +43,6 @@ __all__ = [
     "q_power",
     "quantum_int",
     "CHEB_S",
-    "CHEB_T",
     "MONOMIAL",
     "THAT",
     "Poly1",

@@ -130,13 +130,18 @@ def _certify_torus_unique(args):
     return report.certified, report.to_json_obj, text
 
 
+def _fails(result) -> str:
+    n, k, c = result.witness
+    return f"fails at n={n}: coefficient {c} on index {k}"
+
+
 def _certify_sandwich(args):
     P = resolve_sequence(args.seq)
     report = positivity.sandwich_check(P, args.n_max, q1=args.q1)
     shown = _DISPLAY.get(P.name, P.name)
 
     def verdict(result):
-        return "holds" if result.holds else f"fails, witness {result.witness}"
+        return "holds" if result.holds else _fails(result)
 
     return report.passed, report.to_json_obj, lambda: [
         f"sandwich check: sequence={P.name} n_max={report.n_max}",
@@ -161,11 +166,8 @@ def _order(args):
     Q = resolve_sequence(args.right)
     result = seq_leq(P, Q, args.n_max, q1=args.q1)
     relation = f"({_DISPLAY.get(P.name, P.name)}) <= ({_DISPLAY.get(Q.name, Q.name)})"
-    if result.holds:
-        line = f"{relation} certified to n={args.n_max}"
-    else:
-        n, k, c = result.witness
-        line = f"{relation} fails at n={n}: coefficient {c} on index {k}"
+    outcome = f"certified to n={args.n_max}" if result.holds else _fails(result)
+    line = f"{relation} {outcome}"
     head = {"relation": "leq", "left": P.name, "right": Q.name, "n_max": args.n_max}
     return result.holds, lambda: {**head, **result.to_json_obj()}, lambda: [line]
 

@@ -279,8 +279,6 @@ def convert(
         raise ValueError(
             f"element flavor {elem.flavor!r} does not match source {source.name!r}"
         )
-    if not target.normalized:
-        raise ValueError(f"target sequence {target.name!r} is not normalized")
     for name in (source.name, target.name):
         if name in _MONOMIAL_PERIPHERALS.get(elem.surface, ()):
             raise ValueError(

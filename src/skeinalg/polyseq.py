@@ -1,17 +1,20 @@
 """One-variable polynomial sequences over Z[q, q^-1].
 
-Covers the two Chebyshev-type families
+Every sequence here is *normalized*: P_n is monic of degree n, so P_0 = 1.
+The built-in ones are the monomials and the two Chebyshev-type families
 
-    type one:   T_0 = 2, T_1 = x, T_n = x T_{n-1} - T_{n-2}
-    type two:   S_0 = 1, S_1 = x, S_n = x S_{n-1} - S_{n-2}
+    type one normalized:  T^_0 = 1, T^_1 = x, T^_2 = x^2 - 2
+    type two:             S_0 = 1,  S_1 = x
 
-their normalized variant (type one with the n = 0 value replaced by 1),
-exact change of basis between normalized sequences, and the partial order
-"(P_n) <= (Q_n) iff every Q_n is a positive combination of P_0..P_n".
+each continued by P_n = x P_{n-1} - P_{n-2}.  The plain type-one
+polynomials (T_0 = 2) are available from ``chebyshev`` but are not a
+sequence.  The module also gives exact change of basis between sequences
+and the partial order "(P_n) <= (Q_n) iff every Q_n is a positive
+combination of P_0..P_n".
 
-A sequence is *normalized* when P_n is monic of degree n (so P_0 = 1).
-Sequences are generated lazily and memoized; user sequences come from
-explicit coefficient tables and are validated at load time.
+Sequences are generated lazily and memoized, and every generated entry is
+checked to be monic of its degree; user sequences come from explicit
+coefficient tables and are validated at load time.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "MONOMIAL",
     "THAT",
     "CHEB_S",
-    "CHEB_T",
     "builtin_sequence",
     "chebyshev",
     "substitute_t",
@@ -75,8 +77,8 @@ class Poly1:
         return Poly1([c])
 
     @staticmethod
-    def monomial(n: int, c: Laurent | int = 1) -> "Poly1":
-        return Poly1([0] * n + [c])
+    def monomial(n: int) -> "Poly1":
+        return Poly1([0] * n + [1])
 
     @property
     def degree(self) -> int:
@@ -173,11 +175,12 @@ X = Poly1.monomial(1)
 
 
 class PolySeq:
-    """A lazily generated, memoized sequence of one-variable polynomials.
+    """A lazily generated, memoized, normalized sequence of one-variable
+    polynomials.
 
     ``rule(n, prev)`` produces entry n given the list of entries 0..n-1.
-    When ``normalized`` is set, each generated entry is checked to be monic
-    of degree n.  Instances compare by identity.
+    Each generated entry is checked to be monic of degree n, and with
+    ``max_n`` no entry above it is defined.  Instances compare by identity.
     """
 
     def __init__(
@@ -185,29 +188,17 @@ class PolySeq:
         name: str,
         rule: Callable[[int, list[Poly1]], Poly1],
         *,
-        normalized: bool = True,
         max_n: int | None = None,
     ):
         self.name = name
-        self.normalized = normalized
         self.max_n = max_n
         self._rule = rule
         self._polys: list[Poly1] = []
 
     @classmethod
-    def from_polys(
-        cls, name: str, polys: Sequence[Poly1], *, normalized: bool = True
-    ) -> "PolySeq":
+    def from_polys(cls, name: str, polys: Sequence[Poly1]) -> "PolySeq":
         polys = list(polys)
-
-        def rule(n: int, prev: list[Poly1]) -> Poly1:
-            if n >= len(polys):
-                raise ValueError(
-                    f"sequence {name!r} is only defined up to n = {len(polys) - 1}"
-                )
-            return polys[n]
-
-        seq = cls(name, rule, normalized=normalized, max_n=len(polys) - 1)
+        seq = cls(name, lambda n, prev: polys[n], max_n=len(polys) - 1)
         for n in range(len(polys)):
             seq.poly(n)
         return seq
@@ -217,13 +208,15 @@ class PolySeq:
             raise ValueError(f"sequence index must be nonnegative, got {n}")
         while len(self._polys) <= n:
             k = len(self._polys)
+            if self.max_n is not None and k > self.max_n:
+                raise ValueError(
+                    f"sequence {self.name!r} is only defined up to n = {self.max_n}"
+                )
             p = self._rule(k, self._polys)
-            if self.normalized:
-                if p.degree != k or p.leading() != ONE:
-                    raise ValueError(
-                        f"sequence {self.name!r} is not normalized at n = {k}: "
-                        f"got {p}"
-                    )
+            if p.degree != k or p.leading() != ONE:
+                raise ValueError(
+                    f"sequence {self.name!r} is not normalized at n = {k}: got {p}"
+                )
             self._polys.append(p)
         return self._polys[n]
 
@@ -235,40 +228,22 @@ def _monomial_rule(n: int, prev: list[Poly1]) -> Poly1:
     return Poly1.monomial(n)
 
 
-def _cheb_s_rule(n: int, prev: list[Poly1]) -> Poly1:
-    if n == 0:
-        return Poly1.const(1)
-    if n == 1:
-        return X
-    return X * prev[n - 1] - prev[n - 2]
+def _seeded(seeds: list[Poly1]) -> Callable[[int, list[Poly1]], Poly1]:
+    """The rule P_n = x P_{n-1} - P_{n-2} above the given first entries."""
 
+    def rule(n: int, prev: list[Poly1]) -> Poly1:
+        return seeds[n] if n < len(seeds) else X * prev[n - 1] - prev[n - 2]
 
-def _cheb_t_rule(n: int, prev: list[Poly1]) -> Poly1:
-    if n == 0:
-        return Poly1.const(2)
-    if n == 1:
-        return X
-    return X * prev[n - 1] - prev[n - 2]
-
-
-def _that_rule(n: int, prev: list[Poly1]) -> Poly1:
-    # Type one normalized: only the n = 0 entry differs from the plain type
-    # one family, so the recurrence needs the honest T_2 = x^2 - 2 seeded.
-    if n == 0:
-        return Poly1.const(1)
-    if n == 1:
-        return X
-    if n == 2:
-        return Poly1([-2, 0, 1])
-    return X * prev[n - 1] - prev[n - 2]
+    return rule
 
 
 MONOMIAL = PolySeq("monomial", _monomial_rule)
-THAT = PolySeq("that", _that_rule)
-CHEB_S = PolySeq("s", _cheb_s_rule)
-CHEB_T = PolySeq("t", _cheb_t_rule, normalized=False)
+# Type one normalized: only the n = 0 entry differs from the plain type one
+# family, so the recurrence needs the honest T_2 = x^2 - 2 seeded.
+THAT = PolySeq("that", _seeded([Poly1.const(1), X, Poly1([-2, 0, 1])]))
+CHEB_S = PolySeq("s", _seeded([Poly1.const(1), X]))
 
-_BUILTINS = {"monomial": MONOMIAL, "that": THAT, "s": CHEB_S, "t": CHEB_T}
+_BUILTINS = {"monomial": MONOMIAL, "that": THAT, "s": CHEB_S}
 
 
 def builtin_sequence(name: str) -> PolySeq:
@@ -282,8 +257,8 @@ def builtin_sequence(name: str) -> PolySeq:
 
 
 _CHEB_KINDS = {
-    "T": CHEB_T,
-    "t": CHEB_T,
+    "T": THAT,
+    "t": THAT,
     "T_hat": THAT,
     "that": THAT,
     "S": CHEB_S,
@@ -295,7 +270,7 @@ def chebyshev(kind: str, n: int) -> Poly1:
     """Chebyshev-type polynomial of the given kind at index n.
 
     Kinds: ``T`` (type one, T_0 = 2), ``T_hat`` (type one normalized,
-    value 1 at n = 0), ``S`` (type two).
+    value 1 at n = 0, the same above it), ``S`` (type two).
 
     >>> chebyshev("T_hat", 2)
     Poly1('x^2 - 2')
@@ -306,6 +281,8 @@ def chebyshev(kind: str, n: int) -> Poly1:
         raise ValueError(f"unknown Chebyshev kind {kind!r}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    if n == 0 and kind in ("T", "t"):
+        return Poly1.const(2)
     return _CHEB_KINDS[kind].poly(n)
 
 
@@ -337,8 +314,6 @@ def expand_in(p: Poly1, basis: PolySeq) -> list[Laurent]:
     the basis entry is nonzero.  The expansion is unique.  Returns [] for
     the zero polynomial.
     """
-    if not basis.normalized:
-        raise ValueError(f"basis {basis.name!r} is not normalized")
     work = list(p.coeffs)
     out = [ZERO] * len(work)
     for k in range(len(work) - 1, -1, -1):
@@ -393,9 +368,6 @@ def seq_leq(P: PolySeq, Q: PolySeq, n_max: int, *, q1: bool = False) -> SeqLeqRe
     ``n_max`` must be at least 1: P_0 = Q_0 = 1 for normalized sequences,
     so index 0 alone would certify any pair.
     """
-    for seq in (P, Q):
-        if not seq.normalized:
-            raise ValueError(f"sequence {seq.name!r} is not normalized")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     for n in range(n_max + 1):

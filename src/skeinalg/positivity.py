@@ -49,7 +49,7 @@ from .polyseq import (
     expand_in,
     seq_leq,
 )
-from .reports import VERDICT_POSITIVE, VERDICT_VIOLATION, PositivityReport, Witness
+from .reports import PositivityReport, Witness
 from .skein_s04 import S04Label, mul_tna_b
 from .skein_s04 import SURFACE as S04_SURFACE
 from .skein_torus import structure_constants, tlabel
@@ -85,8 +85,6 @@ def perturbed_that(level: int, deltas: tuple[int, ...]) -> PolySeq:
     def rule(n: int, prev: list[Poly1]) -> Poly1:
         if n < level:
             return THAT.poly(n)
-        if n > level:
-            raise ValueError(f"sequence {name!r} is only defined up to n = {level}")
         p = THAT.poly(level)
         for i, d in enumerate(deltas):
             if d:
@@ -350,8 +348,7 @@ def lower_bound_certify(P: PolySeq, n_max: int) -> PositivityReport:
                         note=f"type-one expansion coefficient {i} of P_{n}",
                     )
                 )
-    verdict = VERDICT_POSITIVE if not witnesses else VERDICT_VIOLATION
-    return PositivityReport(S04_SURFACE, P.name, n_max, verdict, witnesses)
+    return PositivityReport(S04_SURFACE, P.name, n_max, witnesses)
 
 
 @dataclass

@@ -45,16 +45,21 @@ class Witness:
 
 @dataclass
 class PositivityReport:
+    """A bounded positivity check: it passes when no witness was found."""
+
     surface: str
     sequence: str
     bound: int
-    verdict: str
     witnesses: list[Witness] = field(default_factory=list)
     q1: bool = False
 
     @property
     def passed(self) -> bool:
-        return self.verdict == VERDICT_POSITIVE
+        return not self.witnesses
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_POSITIVE if self.passed else VERDICT_VIOLATION
 
     def first_witness(self) -> Witness | None:
         return self.witnesses[0] if self.witnesses else None

@@ -174,18 +174,15 @@ def gamma_quad() -> SkeinElement:
     return SkeinElement(SURFACE, "s", terms)
 
 
-def apply_sigma(elem: SkeinElement, k: int = 1) -> SkeinElement:
-    """Apply the k-th power of the half twist: slopes move by the shear
-    (r,s) -> (r+ks,s); odd powers swap the exponents of g1 and g2."""
-    m = sigma().power(k)
-    swap = k % 2 != 0
+def apply_sigma(elem: SkeinElement) -> SkeinElement:
+    """Apply the half twist: slopes move by the shear (r,s) -> (r+s,s), and
+    the exponents of g1 and g2 swap."""
+    m = sigma()
 
     def act(label: S04Label) -> S04Label:
         slope = None if label.slope is None else m.apply(label.slope)
         g = label.g
-        if swap:
-            g = (g[1], g[0], g[2], g[3])
-        return S04Label(slope, g)
+        return S04Label(slope, (g[1], g[0], g[2], g[3]))
 
     return elem.map_labels(act)
 

@@ -24,12 +24,7 @@ from . import elements
 from .elements import SkeinElement, combine, convert, single
 from .laurent import q_power
 from .polyseq import THAT, PolySeq
-from .reports import (
-    VERDICT_POSITIVE,
-    VERDICT_VIOLATION,
-    PositivityReport,
-    Witness,
-)
+from .reports import PositivityReport, Witness
 
 __all__ = [
     "SURFACE",
@@ -151,8 +146,7 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
                     witnesses.append(
                         Witness((a.text(), b.text()), label.text(), cf)
                     )
-    verdict = VERDICT_POSITIVE if not witnesses else VERDICT_VIOLATION
-    return PositivityReport(SURFACE, P.name, bound, verdict, witnesses, q1=q1)
+    return PositivityReport(SURFACE, P.name, bound, witnesses, q1=q1)
 
 
 def apply_mcg(elem: SkeinElement, m: MappingClass) -> SkeinElement:

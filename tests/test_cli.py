@@ -276,6 +276,27 @@ def test_parse_errors_exit_1():
     assert main(["order", "leq", "nope", "s"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tor", "scan", "--basis", "t"],
+        ["tor", "mul", "(2,1)", "(0,1)", "--basis", "t"],
+        ["ptor", "extract", "--seq", "t"],
+        ["certify", "sandwich", "--seq", "t"],
+        ["order", "leq", "t", "s"],
+    ],
+)
+def test_plain_type_one_is_not_a_sequence(capsys, argv):
+    # T_0 = 2 is not monic of degree 0: `cheb t` prints it, nothing reads it
+    # as a basis.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: unknown builtin sequence 't'; ")
+
+
 def test_usage_errors_exit_1():
     assert main(["tor"]) == 1
     assert main(["frobnicate"]) == 1
@@ -393,7 +414,7 @@ STDOUT_GOLDENS = [
     (["certify", "sandwich", "--seq", "s", "--n-max", "6", "--json"], 0,
      "c2e7695eb3e3ecfc5a052cf52739f1bf23b146d7ac97a3179ece30116b924769"),
     (["certify", "sandwich", "--seq", "monomial", "--n-max", "6"], 2,
-     "a5e0306e1d56d7e4ecb9a1c9261eef68ea0231a14855593cf2636c5e8145f1e4"),
+     "dec453e532a66aba54e3aca90957b16a6128383a9c5671cd2e8fcdf8b12b9786"),
     (["certify", "sandwich", "--seq", "monomial", "--n-max", "6", "--json"], 2,
      "728f5edfd0091aeab0376aa9bb0b0fb0b6f2460ad25fd6161b3d9bc155a54e0d"),
     (["certify", "sandwich", "--seq", "that", "--n-max", "6", "--q1"], 0,
@@ -401,13 +422,30 @@ STDOUT_GOLDENS = [
     (["certify", "sandwich", "--seq", "that", "--n-max", "6", "--q1", "--json"], 0,
      "78c38590c6a30c0265f430e90cbdbbd8f70d036e37d8397f9e0e98f7fc1974c5"),
     (["certify", "sandwich", "--seq", "monomial", "--n-max", "6", "--q1"], 2,
-     "a5e0306e1d56d7e4ecb9a1c9261eef68ea0231a14855593cf2636c5e8145f1e4"),
+     "dec453e532a66aba54e3aca90957b16a6128383a9c5671cd2e8fcdf8b12b9786"),
     (["certify", "sandwich", "--seq", "monomial", "--n-max", "6", "--q1", "--json"], 2,
      "728f5edfd0091aeab0376aa9bb0b0fb0b6f2460ad25fd6161b3d9bc155a54e0d"),
     (["cheb", "that", "5", "--json"], 0,
      "49219bf79544135b87cc74a1363fd2f41f77b7831742936582faf248dd8ad626"),
     (["cheb", "s", "4", "--subst-t", "--json"], 0,
      "e4d05f58fe3dd615b39003c9dd779754fbef6fdb727e2174d8670645bdc2460d"),
+    # The plain type-one polynomial, T_0 = 2: printed, though it is no basis.
+    (["cheb", "t", "0"], 0,
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    (["cheb", "t", "0", "--json"], 0,
+     "8602a17af59bc2b760dba9fbabe4977b95468131df8c07de40b72641e42dae6a"),
+    (["cheb", "t", "1"], 0,
+     "73cb3858a687a8494ca3323053016282f3dad39d42cf62ca4e79dda2aac7d9ac"),
+    (["cheb", "t", "1", "--json"], 0,
+     "88d7aab2b5e7caa2238071579bcc6155f502954491712583f6db6a6366c8cfe2"),
+    (["cheb", "t", "5"], 0,
+     "13730e9fc3670bc9cf9c3aaceb157674ad740efe3d3f345e5145b8d9897173b6"),
+    (["cheb", "t", "5", "--json"], 0,
+     "cb6732d26d50301bb5d1b32439159a69cc6c95be64e8b1216d28f13f0f8b595c"),
+    (["cheb", "t", "4", "--subst-t"], 0,
+     "797165394c4c3aeb384de8555b12cc467236c802982d81a7849c711dc1dc2c14"),
+    (["cheb", "t", "4", "--subst-t", "--json"], 0,
+     "b9bba70b85496758728bb0d623b019a434582d7da39043b47c635fad52d338bd"),
     (["order", "leq", "s", "that", "--n-max", "6"], 2,
      "834f18829711c52a2d3fd0075da6bcf3925fc16ea216608a361b1888bcabf810"),
     (["order", "leq", "s", "that", "--n-max", "6", "--json"], 2,

@@ -96,8 +96,8 @@ def test_expand_in_matches_reference_over_file_sequences(P, data):
 
 def test_expand_in_checks_termination():
     class Sloppy:
-        # Claims to be normalized, but its degree-1 entry is 2x.
-        name, normalized = "sloppy", True
+        # Not a PolySeq, so nothing checked its degree-1 entry, 2x.
+        name = "sloppy"
 
         def poly(self, n):
             return Poly1([1]) if n == 0 else Poly1([0, 2])

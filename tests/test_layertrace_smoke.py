@@ -2,10 +2,10 @@
 
 A table row that held a rule captured at import would bypass the tracer's
 module rebinding, and its counter would read zero; this catches that in
-the test suite rather than only in a benchmark run.  The torus-unique case
-also checks the gates a benchmark run applies to that workload: the
-worker's cold-start guard, the perturbation count and every exercised
-counter.
+the test suite rather than only in a benchmark run.  The torus-unique and
+torus-scan cases also check, at small sizes, the gates a traced benchmark
+run applies to those workloads: the worker's cold-start guard, the work
+counter and every exercised counter.
 """
 
 import json
@@ -68,6 +68,36 @@ print(json.dumps({
 """
 
 
+SCAN_SCRIPT = r"""
+import contextlib, io, json
+import skeinalg.cli
+import worker
+cold = worker.cold_state_errors()
+import layertrace
+from workloads import EXERCISED, torus_label_count
+from skeinalg import cli, polyseq
+
+# As the worker does: read the cache before tracing rebinds its name.
+cache = polyseq.expansion_coeffs
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+hits = cache.cache_info().hits
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["tor", "scan", "--basis", basis, "--bound", "2", "--json"])
+        for basis in ("s", "that")
+    ]
+results = tracer.results()
+results["polyseq.coeff_hits"] = cache.cache_info().hits - hits
+# cli.out_bytes is the worker's own count of the bytes it captured.
+watched = [name for name in EXERCISED["torus-scan"] if name != "cli.out_bytes"]
+print(json.dumps({
+    "cold": cold, "codes": codes, "pairs": 2 * torus_label_count(2) ** 2,
+    "watched": watched, "results": results,
+}))
+"""
+
+
 def _run_traced(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -96,5 +126,15 @@ def test_torus_unique_passes_the_benchmark_gates():
     assert out["code"] == 0
     assert out["count"] == 34
     assert out["results"]["positivity.perturbations"] == out["count"]
+    zero = [name for name in out["watched"] if not out["results"].get(name)]
+    assert zero == []
+
+
+def test_torus_scan_passes_the_benchmark_gates():
+    out = _run_traced(SCAN_SCRIPT)
+    assert out["cold"] == []
+    assert out["codes"] == [2, 0]
+    assert out["pairs"] == 288
+    assert out["results"]["skein_torus.mul"] == out["pairs"]
     zero = [name for name in out["watched"] if not out["results"].get(name)]
     assert zero == []

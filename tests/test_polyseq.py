@@ -7,7 +7,6 @@ from skeinalg import polyseq
 from skeinalg.laurent import Laurent, ONE, ZERO, const, parse_laurent, q_power
 from skeinalg.polyseq import (
     CHEB_S,
-    CHEB_T,
     MONOMIAL,
     THAT,
     Poly1,
@@ -19,6 +18,7 @@ from skeinalg.polyseq import (
     seq_leq,
     substitute_t,
 )
+from skeinalg.positivity import perturbed_that
 
 
 def test_doctests():
@@ -88,9 +88,36 @@ def test_expand_in_round_trip():
             assert rebuilt == p
 
 
-def test_expand_in_rejects_unnormalized_basis():
-    with pytest.raises(ValueError):
-        expand_in(X, CHEB_T)
+@pytest.mark.parametrize(
+    "bad,k",
+    [(Poly1([0, 0, 2]), 2), (Poly1([0, 1]), 2), (Poly1.monomial(3), 2), (Poly1([2]), 0)],
+    ids=["non-monic", "low-degree", "high-degree", "plain-T0"],
+)
+def test_unnormalized_entry_is_refused_on_first_read(bad, k):
+    polys = [bad if n == k else Poly1.monomial(n) for n in range(4)]
+    message = f"sequence 'bad' is not normalized at n = {k}: got {bad}"
+    lazy = PolySeq("bad", lambda n, prev: polys[n])
+    for n in range(k):
+        assert lazy.poly(n) == polys[n]
+    with pytest.raises(ValueError) as err:
+        lazy.poly(3)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        PolySeq.from_polys("bad", polys)
+    assert str(err.value) == message
+
+
+def test_reading_past_the_top_entry():
+    for seq, top in (
+        (PolySeq.from_polys("table", [Poly1.monomial(n) for n in range(3)]), 2),
+        (parse_sequence_table("0: 1\n1: 0 1\n", "file:x"), 1),
+        (perturbed_that(3, (1, 0, -1)), 3),
+    ):
+        assert seq.max_n == top
+        seq.poly(top)
+        with pytest.raises(ValueError) as err:
+            seq.poly(top + 1)
+        assert str(err.value) == f"sequence {seq.name!r} is only defined up to n = {top}"
 
 
 def test_poly_mul():

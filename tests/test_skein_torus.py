@@ -5,7 +5,7 @@ import pytest
 from skeinalg.curves import MappingClass, curve, sigma
 from skeinalg.elements import SkeinElement, single
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
-from skeinalg.polyseq import CHEB_S, CHEB_T, MONOMIAL, THAT
+from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_torus import (
     EMPTY,
     SURFACE,
@@ -93,12 +93,6 @@ def test_convert_round_trip():
                 terms.append((tlabel(r, s), coeff))
             e = SkeinElement(SURFACE, "that", terms)
             assert convert(convert(e, P, THAT), THAT, P) == e
-
-
-def test_convert_rejects_unnormalized_target():
-    e = single(SURFACE, "that", tlabel(2, 0))
-    with pytest.raises(ValueError):
-        convert(e, CHEB_T, THAT)
 
 
 def test_structure_constants_that_two_terms():
