@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .curves import CurveClass, gcd_decompose
 from .laurent import Laurent, ZERO, q_power
-from .polyseq import Poly1, PolySeq, builtin_sequence, expand_in, expansion_coeffs
+from .polyseq import Poly1, PolySeq, expand_in, expansion_coeffs
 
 __all__ = [
     "SkeinElement",
@@ -260,9 +260,7 @@ def instantiate(
 _MONOMIAL_PERIPHERALS = {"s04": ("s", "that")}
 
 
-def convert(
-    elem: SkeinElement, target: PolySeq, source: PolySeq | None = None
-) -> SkeinElement:
+def convert(elem: SkeinElement, target: PolySeq, source: PolySeq) -> SkeinElement:
     """Exact change of basis flavor.
 
     Every exponent of a label is read in the flavor: a slope of
@@ -273,8 +271,6 @@ def convert(
     empty slope.  From a sequence to itself nothing is re-read, so a
     slope of any multiplicity costs nothing.
     """
-    if source is None:
-        source = builtin_sequence(elem.flavor)
     if source.name != elem.flavor:
         raise ValueError(
             f"element flavor {elem.flavor!r} does not match source {source.name!r}"
@@ -323,6 +319,12 @@ class ProductRule(NamedTuple):
     shape: Callable[[object, object], bool]
     rule: Callable[[object, object, str], SkeinElement]
     flavors: tuple[str, ...] = ("that",)
+
+
+# A shape test of the product tables; private, so the per-layer tracer
+# does not wrap a predicate that every routed product calls.
+def _is_slope(label, s: int) -> bool:
+    return label.slope is not None and label.slope.s == s
 
 
 def route(table, a, b, flavor: str, where: str) -> SkeinElement:

@@ -202,6 +202,9 @@ class Laurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it hashes as that int.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:

@@ -11,14 +11,14 @@ used: the pair (k,1)*(0,1), whose low term re-expands the type-one entry
 over the perturbed basis and so flags positive perturbation components,
 and the pair (k,0)*(0,1), whose left factor *is* the perturbed entry on a
 curve and so flags negative components.  The annulus products
-P_1 * P_(k-1) and P_2 * P_(k-2), which live in the one-variable
-subalgebra of a regular neighborhood, are also checked.
+(1,0)*(k-1,0) and (2,0)*(k-2,0) of parallel curves, whose terms have
+determinant 0, are also checked.  Every kind is keyed by label.
 
 Every witness coefficient is affine in the perturbation, so each level
 builds its *witness forms* once, from the products at T̂ and at the unit
 perturbations, and decides each perturbation of the box by evaluating
-them.  The products themselves (``_uniqueness_witnesses``) stay the
-reference: they check T̂, replay recorded witnesses and re-check every
+them, T̂ itself at δ = 0.  The products (``_uniqueness_witnesses``) stay
+the reference: they replay recorded witnesses and re-check every
 perturbation the forms let through before it is reported as unkilled.
 
 ``lower_bound_certify`` runs the sphere-side argument: expanding
@@ -52,7 +52,7 @@ from .polyseq import (
 from .reports import PositivityReport, Witness
 from .skein_s04 import S04Label, mul_tna_b
 from .skein_s04 import SURFACE as S04_SURFACE
-from .skein_torus import structure_constants, tlabel
+from .skein_torus import EMPTY, TorusLabel, structure_constants, tlabel
 
 __all__ = [
     "perturbed_that",
@@ -96,36 +96,27 @@ def perturbed_that(level: int, deltas: tuple[int, ...]) -> PolySeq:
 
 def _witness_values(P: PolySeq, level: int):
     """Yield (kind, pairs) for the five witness products of one perturbation
-    level, in kind order, each computed when it is reached.  ``pairs`` runs
-    over the product read in P: (label, coefficient) in ``sort_key`` order
-    for the structure-constant kinds, (index, coefficient) for the annulus
-    kinds."""
-    k = level
-    for kind, (r, s) in (
-        ("level-product", (k, 1)),
-        ("input-product", (k, 0)),
-        ("base-product", (2, 1)),
+    level, in kind order, each computed when it is reached: a torus
+    structure constant read in P, as (label, coefficient) in ``sort_key``
+    order.  At k = 2 the annulus-2 factor (0,0) is the empty label."""
+    k, y = level, tlabel(0, 1)
+    for kind, a, b in (
+        ("level-product", tlabel(k, 1), y),
+        ("input-product", tlabel(k, 0), y),
+        ("base-product", tlabel(2, 1), y),
+        ("annulus-1", tlabel(1, 0), tlabel(k - 1, 0)),
+        ("annulus-2", tlabel(2, 0), tlabel(k - 2, 0) if k > 2 else EMPTY),
     ):
-        yield kind, structure_constants(P, tlabel(r, s), tlabel(0, 1)).items()
-    for kind, (i, j) in (("annulus-1", (1, k - 1)), ("annulus-2", (2, k - 2))):
-        yield kind, enumerate(expand_in(P.poly(i) * P.poly(j), P))
-
-
-def _key_text(key) -> str:
-    return f"P_{key}" if isinstance(key, int) else key.text()
-
-
-def _key_order(key):
-    return key if isinstance(key, int) else key.sort_key()
+        yield kind, structure_constants(P, a, b).items()
 
 
 def _first_witnesses(values, q1: bool):
     """Yield (kind, offending label, coefficient) for each kind of
     ``values`` that has a coefficient that is not positive: its first."""
     for kind, pairs in values:
-        bad = next(((key, c) for key, c in pairs if not c.is_positive(q1)), None)
+        bad = next(((label, c) for label, c in pairs if not c.is_positive(q1)), None)
         if bad is not None:
-            yield kind, _key_text(bad[0]), bad[1]
+            yield kind, bad[0].text(), bad[1]
 
 
 def _uniqueness_witnesses(P: PolySeq, level: int, q1: bool):
@@ -139,8 +130,8 @@ def _witness_forms(level: int, units: list[PolySeq]):
     perturbation δ, from the reference values at T̂ and at the unit
     perturbations ``units[i]`` = e_i.
 
-    Returns [(kind, terms)] in kind order; ``terms`` lists (key, c0,
-    partials) in reference order, where c0 is the coefficient at T̂ and
+    Returns [(kind, terms)] in kind order; ``terms`` lists (label, c0,
+    partials) in ``sort_key`` order, where c0 is the coefficient at T̂ and
     ``partials`` the nonzero (i, c_i) with c_i = W(e_i) - W(0).
     """
     forms = []
@@ -150,10 +141,10 @@ def _witness_forms(level: int, units: list[PolySeq]):
         w0 = dict(pairs)
         ws = [dict(unit_pairs) for _, unit_pairs in at_units]
         terms = []
-        for key in sorted(set(w0).union(*ws), key=_key_order):
-            c0 = w0.get(key, ZERO)
-            diffs = ((i, w.get(key, ZERO) - c0) for i, w in enumerate(ws))
-            terms.append((key, c0, [(i, ci) for i, ci in diffs if ci]))
+        for label in sorted(set(w0).union(*ws), key=TorusLabel.sort_key):
+            c0 = w0.get(label, ZERO)
+            diffs = ((i, w.get(label, ZERO) - c0) for i, w in enumerate(ws))
+            terms.append((label, c0, [(i, ci) for i, ci in diffs if ci]))
         forms.append((kind, terms))
     return forms
 
@@ -169,7 +160,7 @@ def _form_values(forms, deltas: tuple[int, ...]):
         return c0
 
     for kind, terms in forms:
-        yield kind, ((key, value(c0, partials)) for key, c0, partials in terms)
+        yield kind, ((label, value(c0, partials)) for label, c0, partials in terms)
 
 
 @dataclass(frozen=True)
@@ -235,8 +226,9 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
 
     Levels run from 2 to n_max; at each level every nonzero integer
     perturbation vector with entries in [-coeff_box, coeff_box] must break
-    some witness product.  The unperturbed sequence is also checked to
-    break none (sanity half of the verdict).
+    some witness product.  The unperturbed sequence must break none (the
+    sanity half of the verdict); the forms at δ = 0 decide it, since their
+    values there are the witness products computed in T̂.
 
     Each perturbation δ is decided by the level's witness forms, which are
     exact: every witness coefficient is affine in δ.  Only the level-k
@@ -245,29 +237,24 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
     product term read back onto P_k through T̂_k = P_k - sum(δ_i T̂_i).
     The product between the two readings is bilinear.  In each kind at
     most one of the two readings involves P_k:
-    - the level and base products have primitive factors, whose reading
-      is T̂'s own, and only their read-back can touch P_k (on (k,0), and
-      on the multiplicity-2 terms when k = 2);
     - the input product reads its factor (k,0) from P_k, and its terms
-      (k,1) and (k,-1) are primitive;
-    - the annulus products multiply entries below k, and a monic
-      degree-k product reads back as 1 on P_k plus the T̂ expansion of
-      the rest; at k = 2 the second one is P_2 * P_0 = P_2, which reads
-      back as the unit vector whatever δ is.
+      (k,1) and (k,-1) are primitive, so their read-back is T̂'s own;
+    - every other kind multiplies factors of multiplicity below k, whose
+      reading is T̂'s own, so only its read-back touches P_k.  The one
+      exception is (2,0)*1 at k = 2, which reads (2,0) from P_2 and back
+      onto it; that round trip is the identity for every δ.
     So W(δ) = W(0) + sum(δ_i (W(e_i) - W(0))) holds exactly.
 
-    The first coefficient that is not positive, in kind order and then key
-    order, kills δ, as on the reference path.  A δ the forms let through is
-    re-checked on the reference path before it is reported as unkilled.
+    The first coefficient that is not positive, in kind order and then
+    label order, kills δ, as on the reference path.  A δ the forms let
+    through is re-checked on the reference path before it is reported as
+    unkilled.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if coeff_box < 1:
         raise ValueError("coeff_box must be at least 1")
     report = UniquenessReport(n_max=n_max, coeff_box=coeff_box, q1=q1)
-    for level in range(2, n_max + 1):
-        if next(_uniqueness_witnesses(THAT, level, q1), None) is not None:
-            report.t_hat_clean = False
     for level in range(2, n_max + 1):
         # The unit perturbations e_i build the forms and are reused when
         # the enumeration reaches them.
@@ -276,15 +263,15 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
             e = tuple(int(j == i) for j in range(level))
             units[e] = perturbed_that(level, e)
         forms = _witness_forms(level, list(units.values()))
+        if next(_first_witnesses(_form_values(forms, (0,) * level), q1), None):
+            report.t_hat_clean = False
         killed: list[KilledPerturbation] = []
         unkilled: list[tuple[int, ...]] = []
-        count = 0
         for deltas in itertools.product(
             range(-coeff_box, coeff_box + 1), repeat=level
         ):
             if not any(deltas):
                 continue
-            count += 1
             P = units[deltas] if deltas in units else perturbed_that(level, deltas)
             hit = next(_first_witnesses(_form_values(forms, deltas), q1), None)
             if hit is not None:
@@ -297,7 +284,8 @@ def torus_uniqueness(n_max: int, coeff_box: int, *, q1: bool = False) -> Uniquen
                     f"but the {missed[0]} kills it"
                 )
             unkilled.append(deltas)
-        report.levels.append(UniquenessLevel(level, count, killed, unkilled))
+        n_perturbations = len(killed) + len(unkilled)
+        report.levels.append(UniquenessLevel(level, n_perturbations, killed, unkilled))
     return report
 
 

@@ -49,6 +49,7 @@ from .elements import (
     NoProductRuleError,
     ProductRule,
     SkeinElement,
+    _is_slope,
     combine,
     convert,
     dress,
@@ -254,10 +255,6 @@ def mul_tn1_t01(n: int) -> SkeinElement:
             (_on_curve(g, a_curve), q_power(2) + q_power(-2)),
         ],
     )
-
-
-def _is_slope(label: PTorusLabel, s: int) -> bool:
-    return label.slope is not None and label.slope.s == s
 
 
 def _one_u(a: PTorusLabel, b: PTorusLabel) -> bool:

@@ -34,12 +34,14 @@ observes the signs of the remainders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .curves import CurveClass, curve, parse_power, parse_slope, sigma
 from . import elements
 from .elements import (
     ProductRule,
     SkeinElement,
+    _is_slope,
     combine,
     convert,
     dress,
@@ -350,10 +352,6 @@ def extract_lowest_s04(n: int) -> tuple[int, SkeinElement, bool]:
 # -- the product table ---------------------------------------------------------
 
 
-def _is_slope(label: S04Label, s: int) -> bool:
-    return label.slope is not None and label.slope.s == s
-
-
 def _times_power_of_10(a: S04Label, b: S04Label, flavor: str) -> SkeinElement:
     """a * b for a of slope (1,0) and b of slope (k,0), by one-variable
     multiplication in the flavor's sequence on (1,0)."""
@@ -505,27 +503,30 @@ class ForcingReport:
 
     delta: int
     element: SkeinElement
-    gamma_label: S04Label
-    gamma_coeff: Laurent
-    slope_label: S04Label
-    slope_coeff: Laurent
-    violations: list[tuple[S04Label, Laurent]]
+    gamma_label: ClassVar[S04Label] = S04Label(None, (1, 0, 0, 0))
+    slope_label: ClassVar[S04Label] = S10
+
+    @property
+    def gamma_coeff(self) -> Laurent:
+        return self.element.coeff(self.gamma_label)
+
+    @property
+    def slope_coeff(self) -> Laurent:
+        return self.element.coeff(self.slope_label)
+
+    @property
+    def violations(self) -> list[tuple[S04Label, Laurent]]:
+        return [(lab, c) for lab, c in self.element.items() if not c.is_positive()]
 
     def to_json_obj(self) -> dict:
+        def term(lab: S04Label) -> dict:
+            return {"label": lab.text(), "coeff": self.element.coeff(lab).to_json_obj()}
+
         return {
             "delta": self.delta,
-            "gamma_witness": {
-                "label": self.gamma_label.text(),
-                "coeff": self.gamma_coeff.to_json_obj(),
-            },
-            "slope_witness": {
-                "label": self.slope_label.text(),
-                "coeff": self.slope_coeff.to_json_obj(),
-            },
-            "violations": [
-                {"label": lab.text(), "coeff": c.to_json_obj()}
-                for lab, c in self.violations
-            ],
+            "gamma_witness": term(self.gamma_label),
+            "slope_witness": term(self.slope_label),
+            "violations": [term(lab) for lab, _ in self.violations],
             "element": self.element.to_json_obj(),
         }
 
@@ -541,30 +542,16 @@ def p1_forcing_witness(delta: int) -> ForcingReport:
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    a_lab = S04Label(curve(1, 0))
-    b_lab = S04Label(curve(0, 1))
     # (curve a + delta)(curve b + delta), written over plain multicurves,
     # then read in the perturbed basis 1, x + delta.
-    linear = [(a_lab, delta), (b_lab, delta), (S04_EMPTY, delta * delta)]
+    linear = [(S10, delta), (S01, delta), (S04_EMPTY, delta * delta)]
     raw = mul_a_bn(0, "monomial") + SkeinElement(SURFACE, "monomial", linear)
     p1 = [Poly1.const(1), X + Poly1.const(delta)]
     elem = convert(raw, PolySeq.from_polys(f"p1[{delta}]", p1), MONOMIAL)
-    gamma_label = S04Label(None, (1, 0, 0, 0))
-    slope_label = a_lab
-    violations = [
-        (lab, cf) for lab, cf in elem.items() if not cf.is_positive()
-    ]
-    if not violations:
+    report = ForcingReport(delta, elem)
+    if not report.violations:
         raise AssertionError("a nonzero perturbation must violate positivity")
-    return ForcingReport(
-        delta,
-        elem,
-        gamma_label,
-        elem.coeff(gamma_label),
-        slope_label,
-        elem.coeff(slope_label),
-        violations,
-    )
+    return report
 
 
 _LETTER_FLAVORS = {"S": "s", "T": "that"}

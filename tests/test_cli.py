@@ -332,6 +332,12 @@ CHECK_ROWS = [
         ["ptor", "verify", "g-closed", "--n-max", "1"],
         ["ptor", "verify", "g-closed", "--n-max", "0", "--json"],
         ["s04", "verify", "tna-b", "--n-max", "0"],
+        # Out-of-range arguments the library refuses, each as one error line.
+        ["certify", "torus-unique", "--n-max", "1"],
+        ["certify", "torus-unique", "--box", "0"],
+        ["tor", "scan", "--bound", "0"],
+        ["ptor", "extract", "--n", "-1"],
+        ["cheb", "that", "-1"],
     ]
     + [
         pytest.param([surface, "verify", name, "--n-max", str(least - 1)], id=name)

@@ -125,6 +125,23 @@ def test_specialize_q1_is_ring_hom(a, b):
     assert (a * b).specialize_q1() == a.specialize_q1() * b.specialize_q1()
 
 
+@given(st.one_of(laurents, st.integers().map(const)), st.integers())
+def test_equal_to_an_int_means_same_hash(p, n):
+    # Constants are drawn often enough that p == n is tried both ways.
+    for m in (n, p.specialize_q1()):
+        if p == m:
+            assert hash(p) == hash(m)
+            assert p in {m} and m in {p}
+
+
+def test_constants_and_ints_share_set_and_dict_slots():
+    assert len({0, ZERO}) == 1
+    assert {0: "x"}.get(ZERO) == "x"
+    assert hash(const(3)) == hash(3) and const(3) == 3
+    assert hash(const(-(10**40))) == hash(-(10**40))
+    assert Q != 1 and ONE + Q != 2
+
+
 def test_json_round_trip():
     p = parse_laurent("q^2+q^-2")
     assert p.to_json_obj() == {"-2": 1, "2": 1}

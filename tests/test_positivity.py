@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinalg import polyseq, positivity
+from skeinalg import cli, polyseq, positivity
 from skeinalg.laurent import ONE, const
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT, Poly1, PolySeq
 from skeinalg.positivity import (
@@ -17,7 +17,13 @@ from skeinalg.positivity import (
     sandwich_check,
     torus_uniqueness,
 )
-from skeinalg.skein_torus import positivity_scan, structure_constants, tlabel
+from skeinalg.skein_torus import (
+    EMPTY,
+    TorusLabel,
+    positivity_scan,
+    structure_constants,
+    tlabel,
+)
 
 # SHA-256 of every killed record of torus_uniqueness(4, 2), which the CLI
 # never prints: [level, deltas, witness kind, label, coefficient JSON] in
@@ -271,3 +277,79 @@ def test_survivor_recheck_catches_forms_that_clear_a_killed_perturbation(monkeyp
     monkeypatch.setattr(positivity, "_form_values", clearing)
     with pytest.raises(AssertionError, match=r"let \(1, 0\) through"):
         torus_uniqueness(2, 1)
+
+
+# -- every witness is a labelled torus product ----------------------------------
+
+
+def _annulus_by_index(P: PolySeq, level: int):
+    """The annulus kinds as they were read before they became torus
+    products: P_i * P_j expanded over P, keyed by index."""
+    for kind, (i, j) in (("annulus-1", (1, level - 1)), ("annulus-2", (2, level - 2))):
+        yield kind, enumerate(polyseq.expand_in(P.poly(i) * P.poly(j), P))
+
+
+def _axis_label(m: int):
+    return EMPTY if m == 0 else tlabel(m, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda level: st.lists(st.integers(-10, 10), min_size=level, max_size=level)
+    )
+)
+def test_annulus_products_equal_the_index_reading(deltas):
+    # Parallel curves multiply with determinant 0, so (1,0)*(k-1,0) and
+    # (2,0)*(k-2,0) are the one-variable products on (1,0): index m of the
+    # old reading is label (m,0), and index 0 the empty label.
+    level, deltas = len(deltas), tuple(deltas)
+    P = perturbed_that(level, deltas)
+    values = dict(positivity._witness_values(P, level))
+    for kind, pairs in _annulus_by_index(P, level):
+        want = [(_axis_label(m), c) for m, c in _nonzero(pairs)]
+        assert _nonzero(values[kind]) == want
+
+
+def test_every_witness_key_is_a_label():
+    for level in (2, 3, 6):
+        P = perturbed_that(level, _unit(level, 0))
+        for kind, pairs in positivity._witness_values(P, level):
+            assert all(isinstance(label, TorusLabel) for label, _ in pairs), kind
+
+
+def test_t_hat_is_decided_from_the_forms(monkeypatch, capsys):
+    # Forms that read a negative coefficient at δ = 0 make T̂ unclean: the
+    # verdict fails although every perturbation is killed, and the CLI
+    # exits 2.
+    form_values = positivity._form_values
+
+    def dirty(forms, deltas):
+        if any(deltas):
+            return form_values(forms, deltas)
+        negative = const(-1)
+        return ((kind, [(label, negative) for label, *_ in terms]) for kind, terms in forms)
+
+    monkeypatch.setattr(positivity, "_form_values", dirty)
+    report = torus_uniqueness(2, 1)
+    assert not report.t_hat_clean
+    assert all(lv.all_killed for lv in report.levels)
+    assert report.verdict == "not-certified"
+    assert cli.main(["certify", "torus-unique", "--n-max", "2", "--box", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "unperturbed sequence clean: False\n" in out
+    assert out.endswith("verdict: not-certified\n")
+
+
+def test_lower_bound_witness_carries_its_note():
+    # x^2 - 3 = T̂_2 - T̂_0: the expansion coefficient 0 of P_2 is -1.
+    bad = PolySeq.from_polys("bad2", [THAT.poly(0), THAT.poly(1), Poly1([-3, 0, 1])])
+    obj = lower_bound_certify(bad, 2).to_json_obj()
+    assert obj["witnesses"] == [
+        {
+            "inputs": ["P_2(a)", "b"],
+            "label": "(0,1)",
+            "coeff": const(-1).to_json_obj(),
+            "note": "type-one expansion coefficient 0 of P_2",
+        }
+    ]

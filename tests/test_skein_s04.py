@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from skeinalg.elements import NoProductRuleError, SkeinElement, convert, single
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_s04 import (
+    ForcingReport,
     S04_EMPTY,
     S04Label,
     SURFACE,
@@ -260,6 +262,37 @@ def test_p1_forcing_witness():
             assert rep.slope_label in bad
     with pytest.raises(ValueError):
         p1_forcing_witness(0)
+
+
+def test_forcing_report_reads_its_element():
+    # A hand-made element, not a forcing product: the report keeps only it
+    # and reads both witnesses and every non-positive term from it.
+    a, b = slabel(1, 0), slabel(0, 1)
+    elem = _elem(
+        (S04_EMPTY, q_power(1) - q_power(-1)),
+        (_g(1, 0, 0, 0), const(-2)),
+        (_g(0, 1, 0, 0), const(4)),
+        (a, const(5)),
+        (b, q_power(2) * -3),
+    )
+    rep = ForcingReport(7, elem)
+    assert [f.name for f in dataclasses.fields(rep)] == ["delta", "element"]
+    assert (rep.gamma_label, rep.gamma_coeff) == (_g(1, 0, 0, 0), const(-2))
+    assert (rep.slope_label, rep.slope_coeff) == (a, const(5))
+    assert rep.violations == [
+        (S04_EMPTY, q_power(1) - q_power(-1)),
+        (_g(1, 0, 0, 0), const(-2)),
+        (b, q_power(2) * -3),
+    ]
+    obj = rep.to_json_obj()
+    keys = ["delta", "gamma_witness", "slope_witness", "violations", "element"]
+    assert list(obj) == keys
+    assert obj["gamma_witness"] == {"label": "g1", "coeff": const(-2).to_json_obj()}
+    assert obj["slope_witness"] == {"label": "(1,0)", "coeff": const(5).to_json_obj()}
+    assert [v["label"] for v in obj["violations"]] == ["1", "g1", "(0,1)"]
+    assert obj["element"] == elem.to_json_obj()
+    # A witness label the element lacks reads as 0.
+    assert ForcingReport(1, _elem((b, const(-1)))).slope_coeff == 0
 
 
 def test_p1_forcing_element_structure():
