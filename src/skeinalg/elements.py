@@ -10,8 +10,10 @@ which builds a label of the same kind.
 Only this module adds peripheral exponents (``shifted``, ``dress``); the
 surface modules supply labels and product rules.
 
-Elements are canonical (no zero coefficients) and treated as immutable;
-every operation returns a new value.
+Elements are canonical (no zero coefficients) and immutable: no operation
+changes its input, and ``convert`` from a sequence to itself returns it.
+Every sum (``+``, ``-``, negation, ``scaled``) is one ``combine``, the only
+code that merges the terms of elements.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "SkeinElement",
     "NoProductRuleError",
     "ProductRule",
-    "zero",
     "single",
     "q_pair",
     "combine",
@@ -85,26 +86,16 @@ class SkeinElement:
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        _check_compatible(self.surface, self.flavor, other)
-        terms = dict(self._terms)
-        for label, c in other._terms.items():
-            acc = terms.get(label)
-            terms[label] = c if acc is None else acc + c
-        return SkeinElement(self.surface, self.flavor, terms)
+        return combine(self.surface, self.flavor, [(self, 1), (other, 1)])
 
     def __neg__(self) -> "SkeinElement":
-        return SkeinElement(
-            self.surface, self.flavor, {l: -c for l, c in self._terms.items()}
-        )
+        return self.scaled(-1)
 
     def __sub__(self, other: "SkeinElement") -> "SkeinElement":
-        return self + (-other)
+        return combine(self.surface, self.flavor, [(self, 1), (other, -1)])
 
     def scaled(self, c: Laurent | int) -> "SkeinElement":
-        c = Laurent.coerce(c)
-        return SkeinElement(
-            self.surface, self.flavor, {l: c * v for l, v in self._terms.items()}
-        )
+        return combine(self.surface, self.flavor, [(self, c)])
 
     def __rmul__(self, c: Laurent | int) -> "SkeinElement":
         return self.scaled(c)
@@ -169,17 +160,6 @@ class SkeinElement:
         }
 
 
-def _check_compatible(surface: str, flavor: str, other: SkeinElement):
-    if surface != other.surface:
-        raise ValueError(f"surface mismatch: {surface!r} vs {other.surface!r}")
-    if flavor != other.flavor:
-        raise ValueError(f"basis flavor mismatch: {flavor!r} vs {other.flavor!r}")
-
-
-def zero(surface: str, flavor: str) -> SkeinElement:
-    return SkeinElement(surface, flavor)
-
-
 def single(surface: str, flavor: str, label, coeff: Laurent | int = 1) -> SkeinElement:
     return SkeinElement(surface, flavor, [(label, coeff)])
 
@@ -198,11 +178,15 @@ def combine(
 
     def terms():
         for elem, c in parts:
-            _check_compatible(surface, flavor, elem)
+            if elem.surface != surface:
+                raise ValueError(f"surface mismatch: {surface!r} vs {elem.surface!r}")
+            if elem.flavor != flavor:
+                raise ValueError(f"basis flavor mismatch: {flavor!r} vs {elem.flavor!r}")
             if isinstance(c, int) and c == 1:
-                # Share the part's coefficients, as ``+`` does: a copy would
-                # double the size of a sum kept beside its parts, such as
-                # the remainders h_k beside the sphere tower's products.
+                # A part taken once shares its coefficients with the result:
+                # a copy would double the size of a sum kept beside its
+                # parts, such as the remainders h_k beside the sphere
+                # tower's products.
                 yield from elem._terms.items()
                 continue
             c = Laurent.coerce(c)
@@ -255,8 +239,9 @@ def instantiate(
     return SkeinElement(surface, basis.name, terms)
 
 
-# The product flavors of a surface that read peripheral exponents as plain
-# monomials, not in the flavor; ``convert`` would misread them.
+# The product flavors of a surface, which read peripheral exponents as plain
+# monomials, not in the flavor: ``convert`` would misread them.  The rows of
+# the sphere's product table that hold in two flavors hold in these.
 _MONOMIAL_PERIPHERALS = {"s04": ("s", "that")}
 
 
@@ -282,7 +267,7 @@ def convert(elem: SkeinElement, target: PolySeq, source: PolySeq) -> SkeinElemen
                 "flavor: it reads peripheral exponents as monomials"
             )
     if source is target:
-        return elem.with_flavor(target.name)
+        return elem
     terms = []
     for label, c in elem._terms.items():
         # (peripheral exponents, coefficient) pairs, each exponent re-read.
@@ -386,12 +371,15 @@ def element_from_json(
         raise ValueError(f"an element is a JSON object, got {obj!r}")
     if obj.get("surface") != surface:
         raise ValueError(f"not a {surface!r} element: surface {obj.get('surface')!r}")
+    basis = obj.get("basis", default_basis)
+    if not isinstance(basis, str):
+        raise ValueError(f"'basis' is not a string: {basis!r}")
     terms = obj.get("terms", [])
     if not isinstance(terms, list):
         raise ValueError(f"'terms' is not a list: {terms!r}")
     return SkeinElement(
         surface,
-        obj.get("basis", default_basis),
+        basis,
         [_term_from_json(i, term, read_label) for i, term in enumerate(terms)],
     )
 

@@ -264,8 +264,8 @@ def const(c: int) -> Laurent:
     return Laurent({0: c})
 
 
-def q_power(exponent: int, coefficient: int = 1) -> Laurent:
-    return Laurent({exponent: coefficient})
+def q_power(exponent: int) -> Laurent:
+    return Laurent({exponent: 1})
 
 
 def quantum_int(i: int) -> Laurent:

@@ -350,7 +350,8 @@ def two_way_expansion(n: int) -> Iterator[tuple[SkeinElement, SkeinElement]]:
         below, at = mul_tn1_t01(0), mul_tn1_t01(1)
         for k in range(1, n + 1):
             above = mul_tn1_t01(k + 1)
-            yield above.scaled(q_power(1)) + below.scaled(q_power(-1)), mul_by_t10(at)
+            left = combine(SURFACE, "that", [(above, q_power(1)), (below, q_power(-1))])
+            yield left, mul_by_t10(at)
             below, at = at, above
 
     return pairs()
@@ -407,7 +408,7 @@ def label_from_text(text: str) -> PTorusLabel:
         return PTorusLabel(None, u)
     t = text.strip()
     if not t.startswith("T"):
-        raise ValueError(f"expected a label of the form T(r,s), got {text!r}")
+        raise ValueError(f"expected T(r,s), U or U^k, got {text!r}")
     return PTorusLabel(parse_slope(t[1:]))
 
 

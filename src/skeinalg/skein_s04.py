@@ -41,6 +41,7 @@ from . import elements
 from .elements import (
     ProductRule,
     SkeinElement,
+    _MONOMIAL_PERIPHERALS,
     _is_slope,
     combine,
     convert,
@@ -52,7 +53,6 @@ from .elements import (
     route,
     shifted,
     single,
-    zero,
 )
 from .laurent import Laurent, ONE, const, json_int, q_power, quantum_int
 from .polyseq import CHEB_S, MONOMIAL, Poly1, PolySeq, X, builtin_sequence
@@ -322,7 +322,7 @@ def mul_sn1_s01(n: int) -> list[SkeinElement]:
 def h_part(n: int) -> list[SkeinElement]:
     """The remainders h_0..h_n of (k,1) * (0,1): each product minus its two
     leading slope terms and g_k; zero at k = 0."""
-    remainders = [zero(SURFACE, "s")]
+    remainders = [SkeinElement(SURFACE, "s")]
     for k, full in enumerate(mul_sn1_s01(n)[1:], start=1):
         leading = _pair("s", curve(k, 2), curve(k, 0), 2 * k)
         remainders.append(
@@ -361,7 +361,7 @@ def _times_power_of_10(a: S04Label, b: S04Label, flavor: str) -> SkeinElement:
 
 S10 = S04Label(curve(1, 0))
 S01 = S04Label(curve(0, 1))
-_BOTH = ("s", "that")
+_PRODUCT_FLAVORS = _MONOMIAL_PERIPHERALS[SURFACE]  # "s" and "that"
 
 # Rules are called through module names so that rebinding a rule (as a
 # tracer does) reaches every row.  Earlier rows win where shapes overlap:
@@ -375,7 +375,7 @@ PRODUCTS = (
         lambda a, b, flavor: single(
             SURFACE, flavor, shifted(b, a) if a.slope is None else shifted(a, b)
         ),
-        _BOTH,
+        _PRODUCT_FLAVORS,
     ),
     ProductRule(
         "(1,0) * (m,2)",
@@ -387,13 +387,13 @@ PRODUCTS = (
         "(1,0) * (n,1)",
         lambda a, b: a.slope == S10.slope and _is_slope(b, 1),
         lambda a, b, flavor: dress(mul_a_bn(b.slope.r, flavor), a, b),
-        _BOTH,
+        _PRODUCT_FLAVORS,
     ),
     ProductRule(
         "(1,0) * (k,0)",
         lambda a, b: a.slope == S10.slope and _is_slope(b, 0),
         lambda a, b, flavor: _times_power_of_10(a, b, flavor),
-        _BOTH,
+        _PRODUCT_FLAVORS,
     ),
     ProductRule(
         "(n,1) * (0,1) for n >= 0",
@@ -569,7 +569,7 @@ def operand_from_text(text: str) -> tuple[str | None, S04Label]:
             return None, S04Label(None, tuple(g))
     if t[:1] in _LETTER_FLAVORS:
         return _LETTER_FLAVORS[t[0]], S04Label(parse_slope(t[1:]))
-    raise ValueError(f"expected a label of the form T(r,s) or S(r,s), got {text!r}")
+    raise ValueError(f"expected T(r,s), S(r,s), gi or gi^k (i in 1..4), got {text!r}")
 
 
 def _label_from_json(obj: dict) -> S04Label:

@@ -167,6 +167,21 @@ def test_s04_mul_no_rule(capsys):
     assert main(["s04", "mul", "S(1,0)", "T(0,1)"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,forms",
+    [
+        (["ptor", "mul", "V", "U"], "T(r,s), U or U^k, got 'V'"),
+        (["s04", "mul", "g5", "S(0,1)"], "T(r,s), S(r,s), gi or gi^k (i in 1..4), got 'g5'"),
+    ],
+    ids=["ptor", "s04"],
+)
+def test_bad_operand_names_every_form(capsys, argv, forms):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: expected {forms}"]
+
+
 def test_s04_verify(capsys):
     code, out = run(capsys, "s04", "verify", "h-bounds", "--n-max", "10")
     assert code == 0

@@ -1,10 +1,13 @@
 """Every fast path of the ring kernel and of change of basis against the
 reference it replaced: the Poly1-based elimination, expansion without the
-shared-entry shortcut, and results built through the public constructors."""
+shared-entry shortcut, results built through the public constructors, and
+the element sums that each merged terms on their own before ``combine``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinalg.curves import curve
+from skeinalg.elements import SkeinElement, convert
 from skeinalg.laurent import ONE, ZERO, Laurent
 from skeinalg.polyseq import (
     CHEB_S,
@@ -16,6 +19,9 @@ from skeinalg.polyseq import (
     parse_sequence_table,
 )
 from skeinalg.positivity import perturbed_that
+from skeinalg.skein_ptorus import PTorusLabel
+from skeinalg.skein_s04 import S04Label
+from skeinalg.skein_torus import TorusLabel
 
 check = settings(max_examples=80, deadline=None)
 
@@ -215,3 +221,85 @@ def test_poly1_cancelling_top_terms():
     assert (a - b).coeffs == (ONE,)
     assert (a + (-b)).coeffs == (ONE,)
     assert (a - a).is_zero and (a - a).degree == -1
+
+
+# -- element sums against the merges they replaced -----------------------------
+
+
+def reference_add(x: SkeinElement, y: SkeinElement) -> SkeinElement:
+    """``x + y`` as ``SkeinElement.__add__`` merged it before ``combine``."""
+    terms = dict(x._terms)
+    for label, c in y._terms.items():
+        acc = terms.get(label)
+        terms[label] = c if acc is None else acc + c
+    return SkeinElement(x.surface, x.flavor, terms)
+
+
+def reference_neg(x: SkeinElement) -> SkeinElement:
+    return SkeinElement(x.surface, x.flavor, {l: -c for l, c in x._terms.items()})
+
+
+def reference_scaled(x: SkeinElement, c) -> SkeinElement:
+    c = Laurent.coerce(c)
+    return SkeinElement(x.surface, x.flavor, {l: c * v for l, v in x._terms.items()})
+
+
+_SLOPES = [None, curve(1, 0), curve(0, 1), curve(2, 1), curve(-1, 1), curve(3, 0)]
+# A few labels per surface, so that random sums share and cancel labels.
+LABELS = {
+    "t10": [TorusLabel(slope) for slope in _SLOPES],
+    "t11": [PTorusLabel(slope, u) for slope in _SLOPES for u in (0, 2)],
+    "s04": [S04Label(slope, g) for slope in _SLOPES for g in ((0, 0, 0, 0), (1, 0, 2, 0))],
+}
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one surface and flavor."""
+    surface = draw(st.sampled_from(sorted(LABELS)))
+    flavor = draw(st.sampled_from(["that", "s", "monomial"]))
+    terms = st.lists(st.tuples(st.sampled_from(LABELS[surface]), laurents), max_size=6)
+    return tuple(SkeinElement(surface, flavor, draw(terms)) for _ in range(2))
+
+
+scalars = st.one_of(st.integers(-3, 3), laurents)
+
+
+@check
+@given(element_pairs(), scalars, st.integers(-3, 3))
+def test_element_sums_match_their_references(pair, c, n):
+    x, y = pair
+    assert x + y == reference_add(x, y)
+    assert x - y == reference_add(x, reference_neg(y))
+    assert -x == reference_neg(x)
+    assert x.scaled(c) == reference_scaled(x, c)
+    assert n * x == reference_scaled(x, n)
+    for got in (x + y, x - y, -x, x.scaled(c), x - x):
+        assert all(not v.is_zero for v in got._terms.values())
+    assert (x - x).is_zero
+
+
+@check
+@given(element_pairs())
+def test_a_part_taken_once_shares_its_coefficients(pair):
+    x, y = pair
+    total = x + y
+    for a, b in ((x, y), (y, x)):
+        for label, c in a._terms.items():
+            if label not in b._terms:
+                assert total._terms[label] is c
+    kept = x.scaled(1)
+    assert kept == x and all(kept._terms[l] is c for l, c in x._terms.items())
+
+
+@check
+@given(file_sequences())
+def test_convert_to_its_own_sequence_returns_its_input(P):
+    terms = [(TorusLabel(curve(2, 1)), ONE), (TorusLabel(None), Laurent({-1: 3}))]
+    pterms = [(PTorusLabel(curve(3, 0), 2), ONE), (PTorusLabel(None, 1), Laurent({2: -1}))]
+    for seq in (THAT, CHEB_S, MONOMIAL, P):
+        for surface, pairs in (("t10", terms), ("t11", pterms)):
+            elem = SkeinElement(surface, seq.name, pairs)
+            assert convert(elem, seq, seq) is elem
+    sphere = SkeinElement("s04", MONOMIAL.name, [(S04Label(curve(1, 0), (1, 0, 0, 2)), ONE)])
+    assert convert(sphere, MONOMIAL, MONOMIAL) is sphere

@@ -37,7 +37,7 @@ def test_add_identity():
 
 
 def test_add_like_terms():
-    assert parse_laurent("q^2+1") + parse_laurent("q^2-1") == q_power(2, 2)
+    assert parse_laurent("q^2+1") + parse_laurent("q^2-1") == Laurent({2: 2})
 
 
 def test_mul_square():

@@ -216,6 +216,10 @@ def test_loaders_refuse_a_malformed_envelope(surface):
     for obj in ([], {"surface": module.SURFACE, "terms": {"label": "1"}}):
         with pytest.raises(ValueError):
             module.element_from_json(obj)
+    for basis in (None, 5, [1], {}):
+        obj = {"surface": module.SURFACE, "basis": basis, "terms": []}
+        with pytest.raises(ValueError, match="^'basis' is not a string: "):
+            module.element_from_json(obj)
 
 
 @pytest.mark.parametrize("surface", sorted(LOADERS))

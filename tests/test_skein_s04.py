@@ -359,9 +359,13 @@ def test_p1_forcing_matches_inclusion_exclusion(delta):
     assert p1_forcing_witness(delta).element == _forcing_by_inclusion_exclusion(delta)
 
 
-@pytest.mark.parametrize("source,target", [(CHEB_S, MONOMIAL), (MONOMIAL, THAT)])
+@pytest.mark.parametrize(
+    "source,target",
+    [(CHEB_S, MONOMIAL), (MONOMIAL, THAT), (CHEB_S, CHEB_S), (THAT, THAT)],
+)
 def test_convert_refuses_product_flavors(source, target):
-    # The s and that flavors read peripheral exponents as monomials.
+    # The s and that flavors read peripheral exponents as monomials, also
+    # when the target is the source.
     elem = single(SURFACE, source.name, S04Label(curve(1, 0), (1, 0, 0, 0)))
     with pytest.raises(ValueError, match="peripheral exponents as monomials"):
         convert(elem, target, source)
