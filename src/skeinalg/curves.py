@@ -15,7 +15,7 @@ separately when acting on peripheral labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .laurent import ascii_int
 
@@ -33,10 +33,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveClass:
     r: int
     s: int
+    # hash((r, s)), computed once: slopes key the label dicts of elements.
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.r == 0 and self.s == 0:
@@ -44,6 +46,10 @@ class CurveClass:
         if self.s < 0 or (self.s == 0 and self.r < 0):
             object.__setattr__(self, "r", -self.r)
             object.__setattr__(self, "s", -self.s)
+        object.__setattr__(self, "_hash", hash((self.r, self.s)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def d(self) -> int:
@@ -52,7 +58,7 @@ class CurveClass:
 
     def primitive(self) -> "CurveClass":
         d = self.d
-        return CurveClass(self.r // d, self.s // d)
+        return self if d == 1 else CurveClass(self.r // d, self.s // d)
 
     @property
     def is_primitive(self) -> bool:

@@ -14,6 +14,10 @@ Elements are canonical (no zero coefficients) and immutable: no operation
 changes its input, and ``convert`` from a sequence to itself returns it.
 Every sum (``+``, ``-``, negation, ``scaled``) is one ``combine``, the only
 code that merges the terms of elements.
+
+Building an element hashes each new label once, and a repeated one twice more
+to find it and store the sum.  A ``CurveClass`` computes its hash when it is built, and a
+product by the constant 1 returns the other operand.
 """
 
 from __future__ import annotations
@@ -53,16 +57,23 @@ class SkeinElement:
 
     def __init__(self, surface: str, flavor: str, terms: Iterable = ()):
         data: dict = {}
+        merged = False
         pairs = terms.items() if isinstance(terms, dict) else terms
         for label, c in pairs:
-            c = Laurent.coerce(c)
+            if not isinstance(c, Laurent):
+                c = Laurent.coerce(c)
             if c.is_zero:
                 continue
-            acc = data.get(label)
-            data[label] = c if acc is None else acc + c
+            # A new label grows the dict; a coefficient object may repeat.
+            n = len(data)
+            acc = data.setdefault(label, c)
+            if len(data) == n:
+                data[label] = acc + c
+                merged = True
         self.surface = surface
         self.flavor = flavor
-        self._terms = {l: c for l, c in data.items() if not c.is_zero}
+        # Only a merge can leave a zero behind.
+        self._terms = {l: c for l, c in data.items() if not c.is_zero} if merged else data
 
     # -- access --------------------------------------------------------------
 
@@ -288,7 +299,8 @@ def convert(elem: SkeinElement, target: PolySeq, source: PolySeq) -> SkeinElemen
         d, prim = gcd_decompose(label.slope)
         for k, ck in enumerate(expansion_coeffs(source, target, d)):
             if not ck.is_zero:
-                slope = None if k == 0 else prim.scaled(k)
+                # The top term lands on the label's own slope.
+                slope = label.slope if k == d else None if k == 0 else prim.scaled(k)
                 for p, pc in periphs:
                     terms.append((of(slope, p), pc * ck))
     return SkeinElement(elem.surface, target.name, terms)

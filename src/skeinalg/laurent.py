@@ -58,8 +58,8 @@ class Laurent:
         """The polynomial with the dict ``terms``, which it takes over.
 
         Trusted, not checked: ``terms`` maps int exponents to nonzero int
-        coefficients and nobody else holds it.  Only the class's own methods
-        call it; everyone else goes through the validating constructor.
+        coefficients and nobody else holds it.  Only this module calls it;
+        everyone else goes through the validating constructor.
         """
         p = object.__new__(Laurent)
         p._terms = terms
@@ -98,6 +98,8 @@ class Laurent:
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if not isinstance(other, Laurent):
+            if not isinstance(other, int):
+                return NotImplemented
             other = Laurent.coerce(other)
         a, b = self._terms, other._terms
         if len(a) < len(b):
@@ -118,6 +120,8 @@ class Laurent:
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
         if not isinstance(other, Laurent):
+            if not isinstance(other, int):
+                return NotImplemented
             other = Laurent.coerce(other)
         terms = dict(self._terms)
         for e, c in other._terms.items():
@@ -129,12 +133,21 @@ class Laurent:
         return Laurent._of(terms)
 
     def __rsub__(self, other: "Laurent | int") -> "Laurent":
+        if not isinstance(other, int):
+            return NotImplemented
         return Laurent.coerce(other) - self
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if not isinstance(other, Laurent):
+            if not isinstance(other, int):
+                return NotImplemented
             other = Laurent.coerce(other)
         a, b = self._terms, other._terms
+        # Values are immutable, so a product by 1 is the other factor.
+        if a == ONE._terms:
+            return other
+        if b == ONE._terms:
+            return self
         if not a or not b:
             return ZERO
         if len(a) > len(b):
@@ -265,7 +278,7 @@ def const(c: int) -> Laurent:
 
 
 def q_power(exponent: int) -> Laurent:
-    return Laurent({exponent: 1})
+    return Laurent._of({exponent: 1})
 
 
 def quantum_int(i: int) -> Laurent:

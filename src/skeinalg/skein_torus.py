@@ -54,6 +54,9 @@ class TorusLabel:
     def of(slope: CurveClass | None, periph: tuple) -> "TorusLabel":
         return TorusLabel(slope)
 
+    def __hash__(self) -> int:
+        return hash(self.slope)  # computed when the slope was built
+
     def sort_key(self):
         if self.slope is None:
             return (0, 0, 0)
@@ -100,10 +103,9 @@ def mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
         raise ValueError(
             "torus products are computed in the 'that' flavor; convert first"
         )
+    xs, ys = x._terms.items(), y._terms.items()  # an exact sum needs no order
     return combine(
-        SURFACE,
-        "that",
-        ((fg_mul(la, lb), ca * cb) for la, ca in x.items() for lb, cb in y.items()),
+        SURFACE, "that", ((fg_mul(la, lb), ca * cb) for la, ca in xs for lb, cb in ys)
     )
 
 
@@ -116,12 +118,9 @@ def structure_constants(P: PolySeq, a: TorusLabel, b: TorusLabel) -> SkeinElemen
 
 def canonical_slopes(bound: int) -> list[CurveClass]:
     """All canonical slopes with |r|, |s| <= bound, sorted by (s, r)."""
-    out = [curve(r, 0) for r in range(1, bound + 1)]
-    for s in range(1, bound + 1):
-        for r in range(-bound, bound + 1):
-            out.append(curve(r, s))
-    out.sort(key=lambda c: c.sort_key())
-    return out
+    return [curve(r, 0) for r in range(1, bound + 1)] + [
+        curve(r, s) for s in range(1, bound + 1) for r in range(-bound, bound + 1)
+    ]
 
 
 def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityReport:

@@ -1,13 +1,18 @@
 """Every fast path of the ring kernel and of change of basis against the
 reference it replaced: the Poly1-based elimination, expansion without the
-shared-entry shortcut, results built through the public constructors, and
-the element sums that each merged terms on their own before ``combine``."""
+shared-entry shortcut, results built through the public constructors, the
+element sums that each merged terms on their own before ``combine``, the
+element builder that hashed each label three times, the slope hash computed
+on every call, the torus product over sorted terms and the copying product
+by 1."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinalg.curves import curve
-from skeinalg.elements import SkeinElement, convert
+from skeinalg.curves import CurveClass, curve
+from skeinalg.elements import SkeinElement, combine, convert
 from skeinalg.laurent import ONE, ZERO, Laurent
 from skeinalg.polyseq import (
     CHEB_S,
@@ -21,7 +26,7 @@ from skeinalg.polyseq import (
 from skeinalg.positivity import perturbed_that
 from skeinalg.skein_ptorus import PTorusLabel
 from skeinalg.skein_s04 import S04Label
-from skeinalg.skein_torus import TorusLabel
+from skeinalg.skein_torus import EMPTY, TorusLabel, fg_mul, mul
 
 check = settings(max_examples=80, deadline=None)
 
@@ -303,3 +308,135 @@ def test_convert_to_its_own_sequence_returns_its_input(P):
             assert convert(elem, seq, seq) is elem
     sphere = SkeinElement("s04", MONOMIAL.name, [(S04Label(curve(1, 0), (1, 0, 0, 2)), ONE)])
     assert convert(sphere, MONOMIAL, MONOMIAL) is sphere
+
+
+# -- element building, label hashing and the torus product ------------------------
+
+
+def reference_build(surface: str, flavor: str, terms) -> SkeinElement:
+    """``SkeinElement(surface, flavor, terms)`` as ``__init__`` built it when
+    it looked up, stored and filtered every label."""
+    data: dict = {}
+    for label, c in terms:
+        c = Laurent.coerce(c)
+        if c.is_zero:
+            continue
+        acc = data.get(label)
+        data[label] = c if acc is None else acc + c
+    elem = object.__new__(SkeinElement)
+    elem.surface, elem.flavor = surface, flavor
+    elem._terms = {l: c for l, c in data.items() if not c.is_zero}
+    return elem
+
+
+@st.composite
+def term_lists(draw):
+    """(label, coefficient) pairs of one surface, int or Laurent, with
+    repeated labels, terms repeated with the same coefficient object, and
+    some terms negated so that their labels cancel."""
+    surface = draw(st.sampled_from(sorted(LABELS)))
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from(LABELS[surface]), scalars), max_size=8)
+    )
+    if not terms:
+        return surface, terms
+    repeated = draw(st.lists(st.sampled_from(terms), max_size=3))
+    negated = draw(st.lists(st.sampled_from(terms), max_size=4))
+    return surface, terms + repeated + [(label, -c) for label, c in negated]
+
+
+@check
+@given(term_lists())
+def test_element_build_matches_reference(case):
+    surface, terms = case
+    got = SkeinElement(surface, "that", terms)
+    want = reference_build(surface, "that", terms)
+    assert list(got._terms.items()) == list(want._terms.items())
+    assert got == want
+    assert all(type(c) is Laurent and not c.is_zero for c in got._terms.values())
+
+
+class CountingLabel:
+    """A label that counts the calls of its ``__hash__``."""
+
+    hashes = 0
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def __hash__(self) -> int:
+        CountingLabel.hashes += 1
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CountingLabel) and self.key == other.key
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_building_hashes_each_new_label_once(n):
+    terms = [(CountingLabel(i), Laurent({i: 1})) for i in range(n)]
+    CountingLabel.hashes = 0
+    elem = SkeinElement("t10", "that", terms)
+    assert CountingLabel.hashes == n
+    assert len(elem) == n
+
+
+def _canonical_pair(r: int, s: int) -> tuple[int, int]:
+    return (r, s) if s > 0 or (s == 0 and r > 0) else (-r, -s)
+
+
+@check
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any))
+def test_curve_hash_is_the_hash_of_its_canonical_pair(rs):
+    r, s = rs
+    c = curve(r, s)
+    assert hash(c) == hash(curve(-r, -s)) == hash(_canonical_pair(r, s))
+    assert (c.r, c.s) == _canonical_pair(r, s)
+    assert hash(TorusLabel(c)) == hash(c)
+    for field, value in (("r", 1), ("s", 1), ("_hash", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, value)
+    assert hash(c) == hash(_canonical_pair(r, s))
+    assert repr(c) == f"CurveClass(r={c.r}, s={c.s})"
+    assert c == CurveClass(-r, -s)
+
+
+def reference_mul(x: SkeinElement, y: SkeinElement) -> SkeinElement:
+    """``skein_torus.mul`` summing the label products in sorted order."""
+    return combine(
+        "t10",
+        "that",
+        ((fg_mul(la, lb), ca * cb) for la, ca in x.items() for lb, cb in y.items()),
+    )
+
+
+# Parallel and opposite slopes, so that products reach the empty label.
+TORUS_LABELS = [EMPTY] + [
+    TorusLabel(curve(r, s)) for r, s in ((1, 0), (2, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (1, 2))
+]
+torus_elements = st.lists(
+    st.tuples(st.sampled_from(TORUS_LABELS), scalars), max_size=5
+).map(lambda terms: SkeinElement("t10", "that", terms))
+
+
+@check
+@given(torus_elements, torus_elements)
+def test_torus_mul_matches_sorted_reference(x, y):
+    got = mul(x, y)
+    assert got == reference_mul(x, y)
+    assert list(got.items()) == list(reference_mul(x, y).items())
+
+
+@check
+@given(laurents, element_pairs())
+def test_product_by_one_returns_the_other_factor(c, pair):
+    before = dict(c._terms)
+    for got in (c * ONE, ONE * c, c * 1, 1 * c):
+        assert got == c
+        # When c is 1 too, either factor is the product.
+        assert got is c or c == 1
+    assert c._terms == before and ONE._terms == {0: 1}
+    x, _ = pair
+    terms = dict(x._terms)
+    assert x.scaled(ONE) == x and ONE * x == x
+    assert x._terms == terms and all(x._terms[l] is v for l, v in terms.items())

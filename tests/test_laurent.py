@@ -180,3 +180,21 @@ def test_str_ascending_exponents():
     assert str(parse_laurent("q^2+q^-2+2")) == "q^-2 + 2 + q^2"
     assert str(ZERO) == "0"
     assert str(parse_laurent("-q^2-3")) == "-3 - q^2"
+
+
+def test_operators_defer_to_the_other_operand():
+    from skeinalg.elements import single
+    from skeinalg.skein_torus import tlabel
+
+    elem = single("t10", "that", tlabel(1, 0), 3)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(Q, op)(elem) is NotImplemented
+        assert getattr(Q, op)(1.5) is NotImplemented
+    assert q_power(1) * elem == elem.scaled(Q)
+    assert Q * elem == single("t10", "that", tlabel(1, 0), Laurent({1: 3}))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Q + elem
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Q * 1.5
+    with pytest.raises(TypeError, match="cannot interpret"):
+        Laurent.coerce(1.5)
