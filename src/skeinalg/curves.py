@@ -8,8 +8,7 @@ allowed and stand for gcd(r, s) parallel copies of the primitive class.
 The tori carry the full SL(2,Z) mapping class action (the standard linear
 action on slopes).  On the four-punctured sphere this library only exposes
 the half twist `sigma` and its inverse; `sigma` fixes punctures 3 and 4 and
-exchanges punctures 1 and 2, which the sphere module accounts for
-separately when acting on peripheral labels.
+exchanges punctures 1 and 2.
 """
 
 from __future__ import annotations
@@ -96,28 +95,29 @@ class CurveSyntaxError(ValueError):
 
 
 def parse_slope(text: str) -> CurveClass:
-    """Parse ``(r,s)`` with optional interior whitespace."""
+    """Parse ``(r,s)`` with optional whitespace; positions count in ``text``."""
     s = text.strip()
+    at = len(text) - len(text.lstrip())  # the position of s[0] in text
     if not s.startswith("("):
-        raise CurveSyntaxError("expected '('", 0, text)
+        raise CurveSyntaxError("expected '('", at, text)
     if not s.endswith(")"):
-        raise CurveSyntaxError("expected ')'", len(s) - 1, text)
+        raise CurveSyntaxError("expected ')'", at + len(s) - 1, text)
     body = s[1:-1]
     pieces = body.split(",")
     if len(pieces) != 2:
-        raise CurveSyntaxError("expected exactly one ','", 1, text)
+        raise CurveSyntaxError("expected exactly one ','", at + 1, text)
     try:
         r = ascii_int(pieces[0].strip())
     except ValueError:
-        raise CurveSyntaxError(f"bad integer {pieces[0].strip()!r}", 1, text) from None
+        raise CurveSyntaxError(f"bad integer {pieces[0].strip()!r}", at + 1, text) from None
     try:
         sv = ascii_int(pieces[1].strip())
     except ValueError:
         raise CurveSyntaxError(
-            f"bad integer {pieces[1].strip()!r}", 2 + len(pieces[0]), text
+            f"bad integer {pieces[1].strip()!r}", at + 2 + len(pieces[0]), text
         ) from None
     if r == 0 and sv == 0:
-        raise CurveSyntaxError("(0,0) is not a curve", 1, text)
+        raise CurveSyntaxError("(0,0) is not a curve", at + 1, text)
     return CurveClass(r, sv)
 
 

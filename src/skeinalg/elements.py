@@ -7,8 +7,8 @@ providing ``sort_key``, ``text`` and ``json_obj``, an optional ``slope``,
 the tuple ``periph`` of peripheral exponents and ``of(slope, periph)``,
 which builds a label of the same kind.
 
-Only this module adds peripheral exponents (``shifted``, ``dress``); the
-surface modules supply labels and product rules.
+Only this module adds peripheral exponents (``shifted``, ``dress``) or moves
+labels (``apply_mcg``); the surface modules supply labels and product rules.
 
 Elements are canonical (no zero coefficients) and immutable: no operation
 changes its input, and ``convert`` from a sequence to itself returns it.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .curves import CurveClass, gcd_decompose
+from .curves import CurveClass, MappingClass, gcd_decompose
 from .laurent import Laurent, ZERO, q_power
 from .polyseq import Poly1, PolySeq, expand_in, expansion_coeffs
 
@@ -38,6 +38,7 @@ __all__ = [
     "combine",
     "shifted",
     "dress",
+    "apply_mcg",
     "convert",
     "instantiate",
     "left_multiply",
@@ -230,6 +231,20 @@ def dress(elem: SkeinElement, *labels) -> SkeinElement:
     return elem.map_labels(
         lambda label: label.of(label.slope, tuple(map(add, label.periph, shift)))
     )
+
+
+def apply_mcg(elem: SkeinElement, m: MappingClass, periph_perm=None) -> SkeinElement:
+    """Move ``elem`` by a mapping class: every slope moves by ``m.apply``,
+    and with ``periph_perm`` exponent i of each label is exponent
+    ``periph_perm[i]`` of the input, as the class permutes the punctures."""
+
+    def act(label):
+        p = label.periph
+        if periph_perm is not None:
+            p = tuple(p[j] for j in periph_perm)
+        return label.of(None if label.slope is None else m.apply(label.slope), p)
+
+    return elem.map_labels(act)
 
 
 def instantiate(

@@ -43,6 +43,7 @@ from .elements import (
     SkeinElement,
     _MONOMIAL_PERIPHERALS,
     _is_slope,
+    apply_mcg,
     combine,
     convert,
     dress,
@@ -66,7 +67,6 @@ __all__ = [
     "c_element",
     "gamma_pair_ab",
     "gamma_quad",
-    "apply_sigma",
     "mul_a_bn",
     "mul_tna_b",
     "mul_by_a",
@@ -174,19 +174,6 @@ def gamma_quad() -> SkeinElement:
         terms.append((S04Label(None, tuple(g)), ONE))
     terms.append((S04_EMPTY, const(-2)))
     return SkeinElement(SURFACE, "s", terms)
-
-
-def apply_sigma(elem: SkeinElement) -> SkeinElement:
-    """Apply the half twist: slopes move by the shear (r,s) -> (r+s,s), and
-    the exponents of g1 and g2 swap."""
-    m = sigma()
-
-    def act(label: S04Label) -> S04Label:
-        slope = None if label.slope is None else m.apply(label.slope)
-        g = label.g
-        return S04Label(slope, (g[1], g[0], g[2], g[3]))
-
-    return elem.map_labels(act)
 
 
 def _pair(flavor: str, plus: CurveClass, minus: CurveClass, e: int) -> SkeinElement:
@@ -457,9 +444,12 @@ def _tna_b_check(n_max: int) -> CheckReport:
 
 
 def _sigma_check(n_max: int) -> CheckReport:
+    def half_twist(elem: SkeinElement) -> SkeinElement:
+        return apply_mcg(elem, sigma(), (1, 0, 2, 3))
+
     span = range(-n_max, n_max)
-    a_bn = [n for n in span if apply_sigma(mul_a_bn(n, "s")) != mul_a_bn(n + 1, "s")]
-    s10_m2 = [m for m in span if apply_sigma(mul_s10_sm2(m)) != mul_s10_sm2(m + 2)]
+    a_bn = [n for n in span if half_twist(mul_a_bn(n, "s")) != mul_a_bn(n + 1, "s")]
+    s10_m2 = [m for m in span if half_twist(mul_s10_sm2(m)) != mul_s10_sm2(m + 2)]
     bad = [("a-bn", n) for n in a_bn] + [("s10-m2", m) for m in s10_m2]
     verdict = f"mismatches {bad}" if bad else "equivariant"
     summary = f"half-twist transport, |n| <= {n_max}: {verdict}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .curves import CurveClass, MappingClass, curve, parse_slope
+from .curves import CurveClass, curve, parse_slope
 from . import elements
 from .elements import SkeinElement, combine, convert, single
 from .laurent import q_power
@@ -37,7 +37,6 @@ __all__ = [
     "structure_constants",
     "canonical_slopes",
     "positivity_scan",
-    "apply_mcg",
     "label_from_text",
     "element_from_json",
 ]
@@ -146,13 +145,6 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
                         Witness((a.text(), b.text()), label.text(), cf)
                     )
     return PositivityReport(SURFACE, P.name, bound, witnesses, q1=q1)
-
-
-def apply_mcg(elem: SkeinElement, m: MappingClass) -> SkeinElement:
-    """Apply a torus mapping class to every label of an element."""
-    return elem.map_labels(
-        lambda lab: lab if lab.slope is None else TorusLabel(m.apply(lab.slope))
-    )
 
 
 def label_from_text(text: str) -> TorusLabel:

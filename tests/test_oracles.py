@@ -138,6 +138,10 @@ FOREIGN_DIGITS = [
     (parse_slope, "(\u0661,\u0662)", CurveSyntaxError, 1),
     (parse_slope, "(1_0,2)", CurveSyntaxError, 1),
     (parse_slope, "(1,2_0)", CurveSyntaxError, 3),
+    # Positions count in the text as given, leading spaces included.
+    (parse_slope, "  (1_0,2)", CurveSyntaxError, 3),
+    (parse_slope, " (1,2_0)", CurveSyntaxError, 4),
+    (parse_slope, "\t(\u0661,\u0662)", CurveSyntaxError, 2),
     (lambda t: parse_power(t, "U"), "U^\u00b2", CurveSyntaxError, 2),
     (lambda t: parse_power(t, "U"), " U^\u0663", CurveSyntaxError, 3),
 ]
@@ -314,6 +318,22 @@ def _assert_one_error_line(code, out, err):
 @pytest.mark.parametrize("surface,a,b", BAD_LABELS)
 def test_cli_bad_label(surface, a, b):
     _assert_one_error_line(*_run(surface, "mul", a, b))
+
+
+@pytest.mark.parametrize("surface,a,b", [("ptor", "T (1,x)", "U"), ("s04", "S (1,x)", "g1")])
+def test_cli_error_position_counts_leading_spaces(surface, a, b):
+    # The slope after the letter is " (1,x)", whose index 4 is the x.
+    code, out, err = _run(surface, "mul", a, b)
+    assert (code, out) == (1, "")
+    assert err == "error: bad integer 'x' at position 4 in ' (1,x)'\n"
+
+
+@pytest.mark.parametrize("surface", ["punctured-torus", "sphere"])
+def test_json_slope_error_position_counts_leading_spaces(surface):
+    with pytest.raises(ValueError, match=r"at position 4 in ' \(1,x\)'$"):
+        LOADERS[surface][0].element_from_json(
+            _element(surface, {"label": {"slope": " (1,x)"}, "coeff": {"0": 1}})
+        )
 
 
 @pytest.mark.parametrize("name", sorted(BAD_FILES))

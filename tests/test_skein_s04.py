@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from skeinalg.curves import curve
-from skeinalg.elements import NoProductRuleError, SkeinElement, convert, single
+from skeinalg.curves import curve, sigma
+from skeinalg.elements import NoProductRuleError, SkeinElement, apply_mcg, convert, single
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_s04 import (
@@ -13,7 +13,6 @@ from skeinalg.skein_s04 import (
     S04_EMPTY,
     S04Label,
     SURFACE,
-    apply_sigma,
     c_element,
     element_from_json,
     extract_lowest_s04,
@@ -42,6 +41,11 @@ def _g(*exps):
     return S04Label(None, tuple(exps))
 
 
+def _half_twist(elem):
+    """The half twist: the shear on slopes, and g1 and g2 swapped."""
+    return apply_mcg(elem, sigma(), (1, 0, 2, 3))
+
+
 def test_constants():
     assert c_element(0) == _elem((_g(1, 0, 1, 0), ONE), (_g(0, 1, 0, 1), ONE))
     assert c_element(1) == _elem((_g(1, 0, 0, 1), ONE), (_g(0, 1, 1, 0), ONE))
@@ -54,9 +58,9 @@ def test_constants():
 
 
 def test_sigma_fixes_constants():
-    assert apply_sigma(gamma_pair_ab()) == gamma_pair_ab()
-    assert apply_sigma(gamma_quad()) == gamma_quad()
-    assert apply_sigma(c_element(0)) == c_element(1)
+    assert _half_twist(gamma_pair_ab()) == gamma_pair_ab()
+    assert _half_twist(gamma_quad()) == gamma_quad()
+    assert _half_twist(c_element(0)) == c_element(1)
 
 
 def test_mul_a_bn_examples():
@@ -79,7 +83,7 @@ def test_mul_a_bn_examples():
 
 def test_mul_a_bn_sigma_equivariance():
     for n in range(-10, 10):
-        assert apply_sigma(mul_a_bn(n)) == mul_a_bn(n + 1)
+        assert _half_twist(mul_a_bn(n)) == mul_a_bn(n + 1)
 
 
 def test_mul_tna_b_examples():
@@ -134,7 +138,7 @@ def test_mul_s10_sm2_transported_case():
 
 def test_mul_s10_sm2_sigma_transport():
     for m in range(-8, 8):
-        assert apply_sigma(mul_s10_sm2(m)) == mul_s10_sm2(m + 2)
+        assert _half_twist(mul_s10_sm2(m)) == mul_s10_sm2(m + 2)
 
 
 def test_g_s04_closed_examples():

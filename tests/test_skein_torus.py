@@ -3,13 +3,12 @@ import random
 import pytest
 
 from skeinalg.curves import MappingClass, curve, sigma
-from skeinalg.elements import SkeinElement, single
+from skeinalg.elements import SkeinElement, apply_mcg, single
 from skeinalg.laurent import ONE, Laurent, const, parse_laurent, q_power
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_torus import (
     EMPTY,
     SURFACE,
-    apply_mcg,
     canonical_slopes,
     convert,
     element_from_json,
