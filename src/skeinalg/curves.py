@@ -106,16 +106,19 @@ def parse_slope(text: str) -> CurveClass:
     pieces = body.split(",")
     if len(pieces) != 2:
         raise CurveSyntaxError("expected exactly one ','", at + 1, text)
-    try:
-        r = ascii_int(pieces[0].strip())
-    except ValueError:
-        raise CurveSyntaxError(f"bad integer {pieces[0].strip()!r}", at + 1, text) from None
-    try:
-        sv = ascii_int(pieces[1].strip())
-    except ValueError:
-        raise CurveSyntaxError(
-            f"bad integer {pieces[1].strip()!r}", at + 2 + len(pieces[0]), text
-        ) from None
+    values = []
+    start = at + 1  # the position of the piece in text
+    for piece in pieces:
+        digits = piece.strip()
+        try:
+            values.append(ascii_int(digits))
+        except ValueError:
+            lead = len(piece) - len(piece.lstrip())
+            raise CurveSyntaxError(
+                f"bad integer {digits!r}", start + lead, text
+            ) from None
+        start += len(piece) + 1
+    r, sv = values
     if r == 0 and sv == 0:
         raise CurveSyntaxError("(0,0) is not a curve", at + 1, text)
     return CurveClass(r, sv)

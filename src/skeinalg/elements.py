@@ -2,10 +2,13 @@
 
 A skein element is a finite sum of surface-specific labels with Laurent
 coefficients, tagged with the surface and the basis flavor (the name of the
-polynomial sequence its labels are read in).  Labels are small frozen values
-providing ``sort_key``, ``text`` and ``json_obj``, an optional ``slope``,
-the tuple ``periph`` of peripheral exponents and ``of(slope, periph)``,
-which builds a label of the same kind.
+polynomial sequence its labels are read in).
+
+Labels are one definition, ``label_type``: a frozen value holding an
+optional ``slope`` and the tuple ``periph`` of exponents of the surface's
+peripheral curves, with ``of(slope, periph)``, ``sort_key``, ``text`` and
+``json_obj``, read back by ``label_from_json``.  A surface names only its
+peripheral curves and the JSON key of their exponents.
 
 Only this module adds peripheral exponents (``shifted``, ``dress``) or moves
 labels (``apply_mcg``); the surface modules supply labels and product rules.
@@ -22,14 +25,17 @@ product by the constant 1 returns the other operand.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .curves import CurveClass, MappingClass, gcd_decompose
-from .laurent import Laurent, ZERO, q_power
+from .curves import CurveClass, MappingClass, gcd_decompose, parse_slope
+from .laurent import Laurent, ZERO, json_int, q_power
 from .polyseq import Poly1, PolySeq, expand_in, expansion_coeffs
 
 __all__ = [
+    "label_type",
+    "label_from_json",
     "SkeinElement",
     "NoProductRuleError",
     "ProductRule",
@@ -51,6 +57,87 @@ __all__ = [
 
 class NoProductRuleError(ValueError):
     """A product was requested outside the proved partial multiplication."""
+
+
+def label_type(name: str, names: tuple[str, ...] = (), key: str | None = None):
+    """The label class ``name`` of a surface whose peripheral curves are
+    ``names``: a label is an optional ``slope`` and the tuple ``periph`` of
+    nonnegative exponents, one per peripheral curve.
+
+    Labels sort by ``(0,0,0,*periph)`` without a slope and ``(1,s,r,*periph)``
+    with one.  The JSON form is ``{"slope": ..., key: ...}``, with one
+    exponent as a number and several as a list; without peripheral curves it
+    is the label's text.  Each call builds a class of its own, so patching
+    one surface's label methods (as a tracer does) leaves the others alone.
+    """
+    n = len(names)
+
+    @dataclass(frozen=True, slots=True)
+    class Label:
+        slope: CurveClass | None = None
+        periph: tuple[int, ...] = (0,) * n
+        periph_names = names
+        json_key = key
+
+        def __post_init__(self):
+            p = self.periph
+            if type(p) is not tuple or len(p) != n or (p and min(p) < 0):
+                raise ValueError(
+                    "expected a nonnegative exponent for each peripheral curve "
+                    f"({', '.join(names)}), got {p!r}"
+                )
+
+        @classmethod
+        def of(cls, slope: CurveClass | None, periph: tuple[int, ...]):
+            return cls(slope, periph)
+
+        def sort_key(self):
+            if self.slope is None:
+                return (0, 0, 0) + self.periph
+            return (1, self.slope.s, self.slope.r) + self.periph
+
+        def text(self) -> str:
+            parts = [] if self.slope is None else [self.slope.text()]
+            for curve_name, e in zip(names, self.periph):
+                if e:
+                    parts.append(curve_name if e == 1 else f"{curve_name}^{e}")
+            return "*".join(parts) or "1"
+
+        def json_obj(self):
+            if key is None:
+                return self.text()
+            p = self.periph
+            return {
+                "slope": None if self.slope is None else self.slope.text(),
+                key: p[0] if n == 1 else list(p),
+            }
+
+    Label.__name__ = Label.__qualname__ = name
+    return Label
+
+
+def label_from_json(kind, obj):
+    """The label of class ``kind`` whose ``json_obj`` is ``obj``.  A JSON
+    value of the wrong type fails in the string and dict methods applied to
+    it, with ``AttributeError`` or ``TypeError``."""
+    key, n = kind.json_key, len(kind.periph_names)
+    if key is None:
+        t = obj.strip()
+        return kind(None if t == "1" else parse_slope(t))
+    extra = obj.keys() - {"slope", key}
+    if extra:
+        raise ValueError(
+            f"unknown label key {sorted(map(str, extra))[0]!r}; "
+            f"a label has 'slope' and {key!r}"
+        )
+    slope = obj.get("slope")
+    value = obj.get(key, 0 if n == 1 else [0] * n)
+    values = [value] if n == 1 else value
+    if not isinstance(values, list):
+        raise ValueError(f"peripheral exponents {key!r} are not a list: {value!r}")
+    return kind(
+        None if slope is None else parse_slope(slope), tuple(map(json_int, values))
+    )
 
 
 class SkeinElement:
@@ -389,10 +476,10 @@ def lowest_q_layer(elem: SkeinElement) -> tuple[int, SkeinElement]:
 
 
 def element_from_json(
-    obj: dict, surface: str, read_label: Callable, default_basis: str
+    obj: dict, surface: str, kind, default_basis: str
 ) -> SkeinElement:
     """The element serialized by ``SkeinElement.to_json_obj``; each label is
-    read by ``read_label`` and a missing ``"basis"`` means ``default_basis``.
+    read as a ``kind`` label and a missing ``"basis"`` means ``default_basis``.
     A malformed term raises a one-line ``ValueError`` that names its index."""
     if not isinstance(obj, dict):
         raise ValueError(f"an element is a JSON object, got {obj!r}")
@@ -407,18 +494,16 @@ def element_from_json(
     return SkeinElement(
         surface,
         basis,
-        [_term_from_json(i, term, read_label) for i, term in enumerate(terms)],
+        [_term_from_json(i, term, kind) for i, term in enumerate(terms)],
     )
 
 
-def _term_from_json(i: int, term, read_label: Callable) -> tuple[object, Laurent]:
+def _term_from_json(i: int, term, kind) -> tuple[object, Laurent]:
     if not isinstance(term, dict) or "label" not in term or "coeff" not in term:
         raise ValueError(f"term {i}: expected an object with 'label' and 'coeff'")
     try:
-        label = read_label(term["label"])
+        label = label_from_json(kind, term["label"])
     except (TypeError, AttributeError):
-        # The label readers apply string and dict methods to the JSON value,
-        # so a value of the wrong JSON type fails inside them.
         raise ValueError(f"term {i}: malformed label {term['label']!r}") from None
     except ValueError as exc:
         raise ValueError(f"term {i}: {exc}") from None

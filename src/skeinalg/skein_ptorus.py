@@ -34,7 +34,6 @@ supplied integer-coefficient flavor and groups terms by q-exponent.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import ne
 
 from .curves import (
@@ -54,6 +53,7 @@ from .elements import (
     convert,
     dress,
     instantiate,
+    label_type,
     left_multiply,
     lowest_q_layer,
     q_pair,
@@ -61,7 +61,7 @@ from .elements import (
     shifted,
     single,
 )
-from .laurent import ONE, json_int, q_power
+from .laurent import ONE, q_power
 from .polyseq import (
     CHEB_S,
     THAT,
@@ -96,52 +96,13 @@ __all__ = [
 
 SURFACE = "t11"
 
-
-@dataclass(frozen=True)
-class PTorusLabel:
-    slope: CurveClass | None = None
-    u: int = 0
-
-    def __post_init__(self):
-        if self.u < 0:
-            raise ValueError("U-power must be nonnegative")
-
-    @property
-    def periph(self) -> tuple[int]:
-        return (self.u,)
-
-    @staticmethod
-    def of(slope: CurveClass | None, periph: tuple[int]) -> "PTorusLabel":
-        return PTorusLabel(slope, *periph)
-
-    def sort_key(self):
-        if self.slope is None:
-            return (0, 0, 0, self.u)
-        return (1, self.slope.s, self.slope.r, self.u)
-
-    def text(self) -> str:
-        parts = []
-        if self.slope is not None:
-            parts.append(self.slope.text())
-        if self.u == 1:
-            parts.append("U")
-        elif self.u > 1:
-            parts.append(f"U^{self.u}")
-        return "*".join(parts) if parts else "1"
-
-    def json_obj(self):
-        return {
-            "slope": None if self.slope is None else self.slope.text(),
-            "u": self.u,
-        }
-
-
-PT_EMPTY = PTorusLabel(None, 0)
+PTorusLabel = label_type("PTorusLabel", ("U",), "u")
+PT_EMPTY = PTorusLabel()
 
 
 def plabel(r: int | None = None, s: int | None = None, u: int = 0) -> PTorusLabel:
     slope = None if r is None else curve(r, s)
-    return PTorusLabel(slope, u)
+    return PTorusLabel(slope, (u,))
 
 
 def parity_indicator(n: int) -> int:
@@ -174,7 +135,9 @@ def mul_once(a: PTorusLabel, b: CurveClass) -> SkeinElement:
             f"intersect once (|{r}*{v} - {s}*{u}| = {abs(D)}, need {d})"
         )
     plus, minus = curve(r + u, s + v), curve(r - u, s - v)
-    return q_pair(SURFACE, "that", PTorusLabel(plus, a.u), PTorusLabel(minus, a.u), D)
+    return q_pair(
+        SURFACE, "that", PTorusLabel(plus, a.periph), PTorusLabel(minus, a.periph), D
+    )
 
 
 def mul_t10_tn2(n: int) -> SkeinElement:
@@ -184,11 +147,11 @@ def mul_t10_tn2(n: int) -> SkeinElement:
     n is odd.
     """
     terms = [
-        (PTorusLabel(curve(n + 1, 2), 0), q_power(2)),
-        (PTorusLabel(curve(n - 1, 2), 0), q_power(-2)),
+        (PTorusLabel(curve(n + 1, 2)), q_power(2)),
+        (PTorusLabel(curve(n - 1, 2)), q_power(-2)),
     ]
     if parity_indicator(n):
-        terms.append((PTorusLabel(None, 1), ONE))
+        terms.append((PTorusLabel(None, (1,)), ONE))
         terms.append((PT_EMPTY, q_power(2) + q_power(-2)))
     return SkeinElement(SURFACE, "that", terms)
 
@@ -251,7 +214,7 @@ def mul_tn1_t01(n: int) -> SkeinElement:
         "that",
         [
             (slopes, 1),
-            (_on_curve(g, a_curve, PTorusLabel(None, 1)), 1),
+            (_on_curve(g, a_curve, PTorusLabel(None, (1,))), 1),
             (_on_curve(g, a_curve), q_power(2) + q_power(-2)),
         ],
     )
@@ -259,7 +222,7 @@ def mul_tn1_t01(n: int) -> SkeinElement:
 
 def _one_u(a: PTorusLabel, b: PTorusLabel) -> bool:
     """At most one factor carries U, so U-powers may be added."""
-    return not (a.u and b.u)
+    return not (a.periph[0] and b.periph[0])
 
 
 def _meets_once(a: PTorusLabel, b: PTorusLabel) -> bool:
@@ -285,8 +248,10 @@ PRODUCTS = (
             SURFACE,
             "that",
             [
-                (PTorusLabel(None, j), c)
-                for j, c in enumerate(expand_in(THAT.poly(a.u) * THAT.poly(b.u), THAT))
+                (PTorusLabel(None, (j,)), c)
+                for j, c in enumerate(
+                    expand_in(THAT.poly(a.periph[0]) * THAT.poly(b.periph[0]), THAT)
+                )
             ],
         ),
     ),
@@ -299,12 +264,14 @@ PRODUCTS = (
     ),
     ProductRule(
         "(1,0) * (n,2)",
-        lambda a, b: a == T10 and _is_slope(b, 2) and b.u == 0,
+        lambda a, b: a == T10 and _is_slope(b, 2) and b.periph == (0,),
         lambda a, b, flavor: mul_t10_tn2(b.slope.r),
     ),
     ProductRule(
         "(n,1) * (0,1) for n >= 0",
-        lambda a, b: _is_slope(a, 1) and a.slope.r >= 0 and a.u == 0 and b == T01,
+        lambda a, b: (
+            _is_slope(a, 1) and a.slope.r >= 0 and a.periph == (0,) and b == T01
+        ),
         lambda a, b, flavor: mul_tn1_t01(a.slope.r),
     ),
     ProductRule(
@@ -405,19 +372,12 @@ def label_from_text(text: str) -> PTorusLabel:
     """Parse ``T(r,s)``, ``U`` or ``U^k`` (k >= 1)."""
     u = parse_power(text, "U")
     if u is not None:
-        return PTorusLabel(None, u)
+        return PTorusLabel(None, (u,))
     t = text.strip()
     if not t.startswith("T"):
         raise ValueError(f"expected T(r,s), U or U^k, got {text!r}")
     return PTorusLabel(parse_slope(t[1:]))
 
 
-def _label_from_json(obj: dict) -> PTorusLabel:
-    slope = obj.get("slope")
-    return PTorusLabel(
-        None if slope is None else parse_slope(slope), json_int(obj.get("u", 0))
-    )
-
-
 def element_from_json(obj: dict) -> SkeinElement:
-    return elements.element_from_json(obj, SURFACE, _label_from_json, "that")
+    return elements.element_from_json(obj, SURFACE, PTorusLabel, "that")

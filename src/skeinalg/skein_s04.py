@@ -48,6 +48,7 @@ from .elements import (
     convert,
     dress,
     instantiate,
+    label_type,
     left_multiply,
     lowest_q_layer,
     q_pair,
@@ -55,7 +56,7 @@ from .elements import (
     shifted,
     single,
 )
-from .laurent import Laurent, ONE, const, json_int, q_power, quantum_int
+from .laurent import Laurent, ONE, const, q_power, quantum_int
 from .polyseq import CHEB_S, MONOMIAL, Poly1, PolySeq, X, builtin_sequence
 from .reports import Check, CheckReport
 
@@ -89,55 +90,12 @@ __all__ = [
 
 SURFACE = "s04"
 
-_G0 = (0, 0, 0, 0)
-
-
-@dataclass(frozen=True)
-class S04Label:
-    slope: CurveClass | None = None
-    g: tuple[int, int, int, int] = _G0
-
-    def __post_init__(self):
-        if len(self.g) != 4 or any(e < 0 for e in self.g):
-            raise ValueError("peripheral exponents must be four nonnegative ints")
-        object.__setattr__(self, "g", tuple(int(e) for e in self.g))
-
-    @property
-    def periph(self) -> tuple[int, int, int, int]:
-        return self.g
-
-    @staticmethod
-    def of(slope: CurveClass | None, periph: tuple[int, int, int, int]) -> "S04Label":
-        return S04Label(slope, periph)
-
-    def sort_key(self):
-        if self.slope is None:
-            return (0, 0, 0, self.g)
-        return (1, self.slope.s, self.slope.r, self.g)
-
-    def text(self) -> str:
-        parts = []
-        if self.slope is not None:
-            parts.append(self.slope.text())
-        for i, e in enumerate(self.g, start=1):
-            if e == 1:
-                parts.append(f"g{i}")
-            elif e > 1:
-                parts.append(f"g{i}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def json_obj(self):
-        return {
-            "slope": None if self.slope is None else self.slope.text(),
-            "g": list(self.g),
-        }
-
-
-S04_EMPTY = S04Label(None, _G0)
+S04Label = label_type("S04Label", ("g1", "g2", "g3", "g4"), "g")
+S04_EMPTY = S04Label()
 
 
 def slabel(
-    r: int | None = None, s: int | None = None, g: tuple[int, int, int, int] = _G0
+    r: int | None = None, s: int | None = None, g: tuple[int, ...] = (0, 0, 0, 0)
 ) -> S04Label:
     slope = None if r is None else curve(r, s)
     return S04Label(slope, g)
@@ -562,15 +520,5 @@ def operand_from_text(text: str) -> tuple[str | None, S04Label]:
     raise ValueError(f"expected T(r,s), S(r,s), gi or gi^k (i in 1..4), got {text!r}")
 
 
-def _label_from_json(obj: dict) -> S04Label:
-    slope = obj.get("slope")
-    g = obj.get("g", [0, 0, 0, 0])
-    if not isinstance(g, list):
-        raise ValueError(f"peripheral exponents 'g' are not a list: {g!r}")
-    return S04Label(
-        None if slope is None else parse_slope(slope), tuple(json_int(e) for e in g)
-    )
-
-
 def element_from_json(obj: dict) -> SkeinElement:
-    return elements.element_from_json(obj, SURFACE, _label_from_json, "s")
+    return elements.element_from_json(obj, SURFACE, S04Label, "s")

@@ -16,12 +16,9 @@ product rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
-from .curves import CurveClass, curve, parse_slope
+from .curves import CurveClass, curve
 from . import elements
-from .elements import SkeinElement, combine, convert, single
+from .elements import SkeinElement, combine, convert, label_type, single
 from .laurent import q_power
 from .polyseq import THAT, PolySeq
 from .reports import PositivityReport, Witness
@@ -43,31 +40,7 @@ __all__ = [
 
 SURFACE = "t10"
 
-
-@dataclass(frozen=True)
-class TorusLabel:
-    slope: CurveClass | None = None
-    periph: ClassVar[tuple] = ()
-
-    @staticmethod
-    def of(slope: CurveClass | None, periph: tuple) -> "TorusLabel":
-        return TorusLabel(slope)
-
-    def __hash__(self) -> int:
-        return hash(self.slope)  # computed when the slope was built
-
-    def sort_key(self):
-        if self.slope is None:
-            return (0, 0, 0)
-        return (1, self.slope.s, self.slope.r)
-
-    def text(self) -> str:
-        return "1" if self.slope is None else self.slope.text()
-
-    def json_obj(self):
-        return self.text()
-
-
+TorusLabel = label_type("TorusLabel")
 EMPTY = TorusLabel(None)
 
 
@@ -148,11 +121,9 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
 
 
 def label_from_text(text: str) -> TorusLabel:
-    t = text.strip()
-    if t == "1":
-        return EMPTY
-    return TorusLabel(parse_slope(t))
+    """Parse ``(r,s)`` or ``1``, the JSON form of a torus label."""
+    return elements.label_from_json(TorusLabel, text)
 
 
 def element_from_json(obj: dict) -> SkeinElement:
-    return elements.element_from_json(obj, SURFACE, label_from_text, "that")
+    return elements.element_from_json(obj, SURFACE, TorusLabel, "that")

@@ -47,7 +47,7 @@ def _at_loop(p: Poly1) -> Laurent:
 
 
 def _cap_ptorus(elem: SkeinElement) -> SkeinElement:
-    terms = [(TorusLabel(l.slope), c * _at_loop(THAT.poly(l.u))) for l, c in elem.items()]
+    terms = [(TorusLabel(l.slope), c * _at_loop(THAT.poly(l.periph[0]))) for l, c in elem.items()]
     return SkeinElement(skein_torus.SURFACE, "that", terms)
 
 
@@ -56,7 +56,7 @@ def _ptor(label: PTorusLabel) -> SkeinElement:
 
 
 def _u(k: int) -> PTorusLabel:
-    return PTorusLabel(None, k)
+    return PTorusLabel(None, (k,))
 
 
 # Meets-once pairs of slopes; the left one may be a multiple.
@@ -127,7 +127,7 @@ def _cap_s04(elem: SkeinElement, i: int, splits=SPLITS):
     g = [_sym(LOOP) if j == i else G[j] for j in range(4)]
     total = sympy.Integer(0)
     for label, c in elem.items():
-        term = _sym(c) * sympy.Mul(*(g[j] ** e for j, e in enumerate(label.g)))
+        term = _sym(c) * sympy.Mul(*(g[j] ** e for j, e in enumerate(label.periph)))
         if label.slope is not None:
             gk = g[_partner(i, label.slope, splits)]
             poly = seq.poly(label.slope.d)

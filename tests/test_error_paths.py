@@ -28,10 +28,11 @@ _REFUSALS = [
      "n_max must be at least 2, got 1"),
     ("torus-mul-sphere", lambda: skein_torus.mul(_SPHERE, _SPHERE), ValueError,
      "torus multiplication needs torus elements"),
-    ("ptorus-label", lambda: PTorusLabel(None, -1), ValueError,
-     "U-power must be nonnegative"),
+    ("ptorus-label", lambda: PTorusLabel(None, (-1,)), ValueError,
+     "expected a nonnegative exponent for each peripheral curve (U), got (-1,)"),
     ("s04-label", lambda: S04Label(None, (1, 2, 3)), ValueError,
-     "peripheral exponents must be four nonnegative ints"),
+     "expected a nonnegative exponent for each peripheral curve (g1, g2, g3, g4), "
+     "got (1, 2, 3)"),
     ("g_closed", lambda: skein_ptorus.g_closed(-1), ValueError,
      "index must be nonnegative"),
     ("g_recursive", lambda: skein_ptorus.g_recursive(-1), ValueError,

@@ -3,16 +3,17 @@ reference it replaced: the Poly1-based elimination, expansion without the
 shared-entry shortcut, results built through the public constructors, the
 element sums that each merged terms on their own before ``combine``, the
 element builder that hashed each label three times, the slope hash computed
-on every call, the torus product over sorted terms and the copying product
-by 1."""
+on every call, the torus product over sorted terms, the copying product by 1
+and the three label classes that each wrote their own order, text and JSON."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinalg.curves import CurveClass, curve
-from skeinalg.elements import SkeinElement, combine, convert
+from skeinalg.elements import SkeinElement, combine, convert, label_from_json
 from skeinalg.laurent import ONE, ZERO, Laurent
 from skeinalg.polyseq import (
     CHEB_S,
@@ -253,7 +254,7 @@ _SLOPES = [None, curve(1, 0), curve(0, 1), curve(2, 1), curve(-1, 1), curve(3, 0
 # A few labels per surface, so that random sums share and cancel labels.
 LABELS = {
     "t10": [TorusLabel(slope) for slope in _SLOPES],
-    "t11": [PTorusLabel(slope, u) for slope in _SLOPES for u in (0, 2)],
+    "t11": [PTorusLabel(slope, (u,)) for slope in _SLOPES for u in (0, 2)],
     "s04": [S04Label(slope, g) for slope in _SLOPES for g in ((0, 0, 0, 0), (1, 0, 2, 0))],
 }
 
@@ -301,7 +302,7 @@ def test_a_part_taken_once_shares_its_coefficients(pair):
 @given(file_sequences())
 def test_convert_to_its_own_sequence_returns_its_input(P):
     terms = [(TorusLabel(curve(2, 1)), ONE), (TorusLabel(None), Laurent({-1: 3}))]
-    pterms = [(PTorusLabel(curve(3, 0), 2), ONE), (PTorusLabel(None, 1), Laurent({2: -1}))]
+    pterms = [(PTorusLabel(curve(3, 0), (2,)), ONE), (PTorusLabel(None, (1,)), Laurent({2: -1}))]
     for seq in (THAT, CHEB_S, MONOMIAL, P):
         for surface, pairs in (("t10", terms), ("t11", pterms)):
             elem = SkeinElement(surface, seq.name, pairs)
@@ -392,7 +393,7 @@ def test_curve_hash_is_the_hash_of_its_canonical_pair(rs):
     c = curve(r, s)
     assert hash(c) == hash(curve(-r, -s)) == hash(_canonical_pair(r, s))
     assert (c.r, c.s) == _canonical_pair(r, s)
-    assert hash(TorusLabel(c)) == hash(c)
+    assert hash(TorusLabel(c)) == hash((c, ()))
     for field, value in (("r", 1), ("s", 1), ("_hash", 0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, field, value)
@@ -440,3 +441,108 @@ def test_product_by_one_returns_the_other_factor(c, pair):
     terms = dict(x._terms)
     assert x.scaled(ONE) == x and ONE * x == x
     assert x._terms == terms and all(x._terms[l] is v for l, v in terms.items())
+
+
+# -- labels: one definition against the three classes it replaced -------------
+
+
+def _slope_json(label):
+    return None if label.slope is None else label.slope.text()
+
+
+def reference_torus_sort_key(label):
+    if label.slope is None:
+        return (0, 0, 0)
+    return (1, label.slope.s, label.slope.r)
+
+
+def reference_torus_text(label) -> str:
+    return "1" if label.slope is None else label.slope.text()
+
+
+def reference_torus_json_obj(label):
+    return reference_torus_text(label)
+
+
+def reference_ptorus_sort_key(label):
+    (u,) = label.periph
+    if label.slope is None:
+        return (0, 0, 0, u)
+    return (1, label.slope.s, label.slope.r, u)
+
+
+def reference_ptorus_text(label) -> str:
+    (u,) = label.periph
+    parts = []
+    if label.slope is not None:
+        parts.append(label.slope.text())
+    if u == 1:
+        parts.append("U")
+    elif u > 1:
+        parts.append(f"U^{u}")
+    return "*".join(parts) if parts else "1"
+
+
+def reference_ptorus_json_obj(label):
+    return {"slope": _slope_json(label), "u": label.periph[0]}
+
+
+def reference_s04_sort_key(label):
+    if label.slope is None:
+        return (0, 0, 0, label.periph)
+    return (1, label.slope.s, label.slope.r, label.periph)
+
+
+def reference_s04_text(label) -> str:
+    parts = []
+    if label.slope is not None:
+        parts.append(label.slope.text())
+    for i, e in enumerate(label.periph, start=1):
+        if e == 1:
+            parts.append(f"g{i}")
+        elif e > 1:
+            parts.append(f"g{i}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def reference_s04_json_obj(label):
+    return {"slope": _slope_json(label), "g": list(label.periph)}
+
+
+# kind: (number of peripheral exponents, reference sort_key, text, json_obj)
+REFERENCE_LABELS = {
+    TorusLabel: (
+        0, reference_torus_sort_key, reference_torus_text, reference_torus_json_obj
+    ),
+    PTorusLabel: (
+        1, reference_ptorus_sort_key, reference_ptorus_text, reference_ptorus_json_obj
+    ),
+    S04Label: (4, reference_s04_sort_key, reference_s04_text, reference_s04_json_obj),
+}
+
+label_slopes = st.none() | st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(
+    any
+).map(lambda rs: curve(*rs))
+
+
+@st.composite
+def label_lists(draw):
+    """A surface's label class and a list of its labels, with repeats."""
+    kind = draw(st.sampled_from(list(REFERENCE_LABELS)))
+    n = REFERENCE_LABELS[kind][0]
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    labels = st.lists(st.builds(kind, label_slopes, exponents), min_size=1, max_size=12)
+    return kind, draw(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_lists())
+def test_labels_match_the_classes_they_replaced(case):
+    kind, labels = case
+    _, sort_key, text, json_obj = REFERENCE_LABELS[kind]
+    assert sorted(labels, key=kind.sort_key) == sorted(labels, key=sort_key)
+    for label in labels:
+        assert label.text() == text(label)
+        assert json.dumps(label.json_obj()) == json.dumps(json_obj(label))
+        assert label_from_json(kind, json.loads(json.dumps(label.json_obj()))) == label
+        assert label.of(label.slope, label.periph) == label

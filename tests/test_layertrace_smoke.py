@@ -5,7 +5,9 @@ module rebinding, and its counter would read zero; this catches that in
 the test suite rather than only in a benchmark run.  The torus-unique and
 torus-scan cases also check, at small sizes, the gates a traced benchmark
 run applies to those workloads: the worker's cold-start guard, the work
-counter and every exercised counter.
+counter and every exercised counter.  The tracer patches the three label
+classes by name, so they must stay three classes: patching one class three
+times would count each label hash three times.
 """
 
 import json
@@ -98,6 +100,26 @@ print(json.dumps({
 """
 
 
+LABEL_SCRIPT = r"""
+import json
+import layertrace
+from skeinalg import skein_ptorus, skein_s04, skein_torus
+from skeinalg.curves import curve
+
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+hashes = tracer.counter("elements.label_hashes")
+kinds = [skein_torus.TorusLabel, skein_ptorus.PTorusLabel, skein_s04.S04Label]
+steps = []
+for kind in kinds:
+    label = kind(curve(1, 0))
+    before = hashes[0]
+    hash(label)
+    steps.append(hashes[0] - before)
+print(json.dumps({"steps": steps, "classes": len(set(map(id, kinds)))}))
+"""
+
+
 def _run_traced(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -138,3 +160,8 @@ def test_torus_scan_passes_the_benchmark_gates():
     assert out["results"]["skein_torus.mul"] == out["pairs"]
     zero = [name for name in out["watched"] if not out["results"].get(name)]
     assert zero == []
+
+
+def test_each_label_hash_counts_once():
+    out = _run_traced(LABEL_SCRIPT)
+    assert out == {"steps": [1, 1, 1], "classes": 3}

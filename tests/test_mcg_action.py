@@ -81,8 +81,8 @@ meets_once = st.tuples(
     st.booleans(),
 ).map(
     lambda t: (
-        PTorusLabel(t[0].apply(curve(t[1], 0)), t[3] if t[4] else 0),
-        PTorusLabel(t[0].apply(curve(0, t[2])), 0 if t[4] else t[3]),
+        PTorusLabel(t[0].apply(curve(t[1], 0)), (t[3] if t[4] else 0,)),
+        PTorusLabel(t[0].apply(curve(0, t[2])), (0 if t[4] else t[3],)),
     )
 )
 
@@ -97,4 +97,4 @@ def test_ptorus_products_are_equivariant(m, pair):
 
 @given(mapping_classes, st.integers(0, 5))
 def test_ptorus_action_fixes_u(m, k):
-    assert _move(PTorusLabel(None, k), m) == PTorusLabel(None, k)
+    assert _move(PTorusLabel(None, (k,)), m) == PTorusLabel(None, (k,))

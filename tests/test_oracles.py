@@ -142,6 +142,9 @@ FOREIGN_DIGITS = [
     (parse_slope, "  (1_0,2)", CurveSyntaxError, 3),
     (parse_slope, " (1,2_0)", CurveSyntaxError, 4),
     (parse_slope, "\t(\u0661,\u0662)", CurveSyntaxError, 2),
+    # Spaces inside the parentheses count too: the position is the integer's.
+    (parse_slope, "(1, x)", CurveSyntaxError, 4),
+    (parse_slope, "( x,1)", CurveSyntaxError, 2),
     (lambda t: parse_power(t, "U"), "U^\u00b2", CurveSyntaxError, 2),
     (lambda t: parse_power(t, "U"), " U^\u0663", CurveSyntaxError, 3),
 ]
@@ -212,6 +215,23 @@ def test_sphere_loader_refuses_exponents_that_are_not_a_list():
     # A string of digits would otherwise be read one character per exponent.
     label = {"slope": None, "g": "0102"}
     _assert_refuses_term_1("sphere", {"label": label, "coeff": {"0": 1}})
+
+
+# A misspelt key, or the other punctured surface's key, is not dropped.
+UNKNOWN_KEYS = [
+    ("punctured-torus", {"slop": "(1,0)"}, "slop"),
+    ("punctured-torus", {"slope": "(1,0)", "g": [1, 0, 0, 0]}, "g"),
+    ("sphere", {"slop": "(1,0)"}, "slop"),
+    ("sphere", {"slope": "(1,0)", "u": 1}, "u"),
+]
+
+
+@pytest.mark.parametrize("surface,label,key", UNKNOWN_KEYS)
+def test_loaders_refuse_unknown_label_keys(surface, label, key):
+    with pytest.raises(ValueError, match=f"^term 1: unknown label key '{key}'"):
+        LOADERS[surface][0].element_from_json(
+            _element(surface, {"label": label, "coeff": {"0": 1}})
+        )
 
 
 @pytest.mark.parametrize("surface", sorted(LOADERS))

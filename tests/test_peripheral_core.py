@@ -39,7 +39,7 @@ def test_left_multiplication_refuses_other_elements(mul, message, own):
 
 _JSON = [
     (skein_torus, tlabel(2, 1), "that"),
-    (skein_ptorus, PTorusLabel(curve(2, 1), 2), "that"),
+    (skein_ptorus, PTorusLabel(curve(2, 1), (2,)), "that"),
     (skein_s04, S04Label(curve(2, 1), (0, 1, 0, 2)), "s"),
 ]
 

@@ -27,7 +27,7 @@ def test_ptor_type_one_power_of_10():
     for k in range(1, 6):
         for u in (0, 2):
             got = skein_ptorus.product(plabel(1, 0), plabel(k, 0, u=u))
-            lower = PTorusLabel(None, u) if k == 1 else plabel(k - 1, 0, u=u)
+            lower = PTorusLabel(None, (u,)) if k == 1 else plabel(k - 1, 0, u=u)
             # The k = 1 case lands on the unnormalized T_0 = 2.
             assert got.coeff(plabel(k + 1, 0, u=u)) == q_power(0)
             assert got.coeff(lower) == q_power(0) * (2 if k == 1 else 1)
@@ -49,9 +49,9 @@ def test_ptor_refuses_u_dressed_n2():
 def test_ptor_u_power_product_is_one_variable():
     for j in range(4):
         for k in range(4):
-            got = skein_ptorus.product(PTorusLabel(None, j), PTorusLabel(None, k))
+            got = skein_ptorus.product(PTorusLabel(None, (j,)), PTorusLabel(None, (k,)))
             want = expand_in(THAT.poly(j) * THAT.poly(k), THAT)
-            assert [got.coeff(PTorusLabel(None, i)) for i in range(j + k + 1)] == want
+            assert [got.coeff(PTorusLabel(None, (i,))) for i in range(j + k + 1)] == want
 
 
 def test_ptor_mul_by_t10_matches_product():
@@ -95,7 +95,7 @@ def test_s04_n1_row_matches_resolution(g):
                     (S04Label(curve(r - 1, 1), g), q_power(-2)),
                 ]
                 + [
-                    (S04Label(None, tuple(a + b for a, b in zip(lab.g, g))), cc)
+                    (S04Label(None, tuple(a + b for a, b in zip(lab.periph, g))), cc)
                     for lab, cc in c.items()
                 ],
             )
@@ -158,13 +158,13 @@ def test_ptor_dressed_rows_add_u_powers(family, ua, ub):
     # monomials: dressing a factor dresses the product.
     table = skein_ptorus.PRODUCTS
     for a, b in _PT_ROWS[family]:
-        da = shifted(a, PTorusLabel(None, ua))
-        db = shifted(b, PTorusLabel(None, ub))
-        assert (da.u, db.u) == (a.u + ua, b.u + ub)
+        da = shifted(a, PTorusLabel(None, (ua,)))
+        db = shifted(b, PTorusLabel(None, (ub,)))
+        assert (da.periph, db.periph) == ((a.periph[0] + ua,), (b.periph[0] + ub,))
         assert _family(table, a, b, "that") == family
         assert _family(table, da, db, "that") == family
         want = skein_ptorus.product(a, b).map_labels(
-            lambda lab: PTorusLabel(lab.slope, lab.u + ua + ub)
+            lambda lab: PTorusLabel(lab.slope, (lab.periph[0] + ua + ub,))
         )
         assert skein_ptorus.product(da, db) == want
 
@@ -201,7 +201,7 @@ def test_s04_dressed_rows_add_exponents(family, ga):
                 assert _family(table, da, db, flavor) == family
                 want = skein_s04.product(a, b, flavor).map_labels(
                     lambda lab: S04Label(
-                        lab.slope, tuple(e + x + y for e, x, y in zip(lab.g, ga, gb))
+                        lab.slope, tuple(e + x + y for e, x, y in zip(lab.periph, ga, gb))
                     )
                 )
                 assert skein_s04.product(da, db, flavor) == want

@@ -53,7 +53,7 @@ def test_mul_once_preconditions():
     with pytest.raises(ValueError):
         mul_once(plabel(1, 0), curve(0, 2))  # non-primitive right factor
     with pytest.raises(NoProductRuleError):
-        mul_once(PTorusLabel(None, 2), curve(0, 1))  # no slope on the left
+        mul_once(PTorusLabel(None, (2,)), curve(0, 1))  # no slope on the left
 
 
 def test_parity_indicator():
@@ -64,7 +64,7 @@ def test_mul_t10_tn2_examples():
     assert mul_t10_tn2(1) == _elem(
         (plabel(2, 2), q_power(2)),
         (plabel(0, 2), q_power(-2)),
-        (PTorusLabel(None, 1), ONE),
+        (PTorusLabel(None, (1,)), ONE),
         (PT_EMPTY, parse_laurent("q^2+q^-2")),
     )
     assert mul_t10_tn2(2) == _elem(
@@ -73,7 +73,7 @@ def test_mul_t10_tn2_examples():
     assert mul_t10_tn2(3) == _elem(
         (plabel(4, 2), q_power(2)),
         (plabel(2, 2), q_power(-2)),
-        (PTorusLabel(None, 1), ONE),
+        (PTorusLabel(None, (1,)), ONE),
         (PT_EMPTY, parse_laurent("q^2+q^-2")),
     )
 
@@ -118,7 +118,7 @@ def test_mul_tn1_t01_examples():
     assert mul_tn1_t01(2) == _elem(
         (plabel(2, 2), q_power(2)),
         (plabel(2, 0), q_power(-2)),
-        (PTorusLabel(None, 1), ONE),
+        (PTorusLabel(None, (1,)), ONE),
         (PT_EMPTY, parse_laurent("q^2+q^-2")),
     )
 
@@ -133,7 +133,7 @@ def test_u_centrality():
     for n in (0, 2, 5):
         base = mul_once(plabel(n + 1, 1, u=0), curve(1, 0))
         dressed = mul_once(plabel(n + 1, 1, u=3), curve(1, 0))
-        assert dressed == dress(base, PTorusLabel(None, 3))
+        assert dressed == dress(base, PTorusLabel(None, (3,)))
 
 
 def test_q_split_recombines():
@@ -171,7 +171,7 @@ def test_convert_reads_u_powers_in_the_flavor():
     assert both == _elem(
         (plabel(2, 0, u=2), ONE),
         (plabel(2, 0), const(-1)),
-        (PTorusLabel(None, 2), const(-1)),
+        (PTorusLabel(None, (2,)), const(-1)),
         (PT_EMPTY, ONE),
         flavor="s",
     )

@@ -243,7 +243,7 @@ def test_gamma_centrality():
     base = mul_by_s10(single(SURFACE, "s", slabel(3, 1)))
     dressed = mul_by_s10(single(SURFACE, "s", S04Label(curve(3, 1), dress)))
     redressed = base.map_labels(
-        lambda lab: S04Label(lab.slope, tuple(a + b for a, b in zip(lab.g, dress)))
+        lambda lab: S04Label(lab.slope, tuple(a + b for a, b in zip(lab.periph, dress)))
     )
     assert dressed == redressed
 
@@ -320,7 +320,7 @@ def _components(label):
     if label.slope is not None:
         assert label.slope.d == 1
         comps.append(S04Label(label.slope))
-    for i, e in enumerate(label.g):
+    for i, e in enumerate(label.periph):
         assert e <= 1
         if e == 1:
             g = [0, 0, 0, 0]
@@ -335,7 +335,7 @@ def _merge(labels):
     for lab in labels:
         if lab.slope is not None:
             slope = lab.slope
-        g = [a + b for a, b in zip(g, lab.g)]
+        g = [a + b for a, b in zip(g, lab.periph)]
     return S04Label(slope, tuple(g))
 
 
