@@ -15,6 +15,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import positivity, skein_ptorus, skein_s04, skein_torus
+from .elements import label_from_text
 from .polyseq import (
     PolySeq,
     builtin_sequence,
@@ -45,9 +46,14 @@ def _element(elem):
     return True, elem.to_json_obj, lambda: [elem.text()]
 
 
+def _operands(args, kind, letters=None):
+    """The (flavor, label) pairs of the operands ``a`` and ``b``."""
+    return [label_from_text(kind, x, letters) for x in (args.a, args.b)]
+
+
 def _tor_mul(args):
     P = resolve_sequence(args.basis)
-    a, b = (skein_torus.label_from_text(x) for x in (args.a, args.b))
+    (_, a), (_, b) = _operands(args, skein_torus.TorusLabel)
     return _element(skein_torus.structure_constants(P, a, b))
 
 
@@ -68,7 +74,7 @@ def _tor_scan(args):
 
 
 def _ptor_mul(args):
-    a, b = (skein_ptorus.label_from_text(x) for x in (args.a, args.b))
+    (_, a), (_, b) = _operands(args, skein_ptorus.PTorusLabel, {"T": "that"})
     return _element(skein_ptorus.product(a, b))
 
 
@@ -83,8 +89,7 @@ def _ptor_extract(args):
 
 
 def _s04_mul(args):
-    fa, a = skein_s04.operand_from_text(args.a)
-    fb, b = skein_s04.operand_from_text(args.b)
+    (fa, a), (fb, b) = _operands(args, skein_s04.S04Label, {"T": "that", "S": "s"})
     if fa and fb and fa != fb:
         raise ValueError("both labels must use the same basis letter")
     return _element(skein_s04.product(a, b, fa or fb or "s"))

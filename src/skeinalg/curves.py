@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .laurent import ascii_int
+from .laurent import LaurentSyntaxError, ascii_int
 
 __all__ = [
     "CurveClass",
@@ -87,11 +87,8 @@ def gcd_decompose(c: CurveClass) -> tuple[int, CurveClass]:
     return c.d, c.primitive()
 
 
-class CurveSyntaxError(ValueError):
-    def __init__(self, message: str, position: int, text: str):
-        super().__init__(f"{message} at position {position} in {text!r}")
-        self.position = position
-        self.text = text
+class CurveSyntaxError(LaurentSyntaxError):
+    """A malformed slope or peripheral power."""
 
 
 def parse_slope(text: str) -> CurveClass:
@@ -105,7 +102,9 @@ def parse_slope(text: str) -> CurveClass:
     body = s[1:-1]
     pieces = body.split(",")
     if len(pieces) != 2:
-        raise CurveSyntaxError("expected exactly one ','", at + 1, text)
+        # The second ',', or the ')' when there is none.
+        end = len(pieces[0]) + 1 + len(pieces[1]) if pieces[1:] else len(body)
+        raise CurveSyntaxError("expected exactly one ','", at + 1 + end, text)
     values = []
     start = at + 1  # the position of the piece in text
     for piece in pieces:

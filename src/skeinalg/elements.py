@@ -8,7 +8,9 @@ Labels are one definition, ``label_type``: a frozen value holding an
 optional ``slope`` and the tuple ``periph`` of exponents of the surface's
 peripheral curves, with ``of(slope, periph)``, ``sort_key``, ``text`` and
 ``json_obj``, read back by ``label_from_json``.  A surface names only its
-peripheral curves and the JSON key of their exponents.
+peripheral curves and the JSON key of their exponents.  ``label_from_text``
+is the one reader of operand text for all three surfaces; the slope letters
+it takes (``T``, ``S``), each naming a basis flavor, are CLI syntax.
 
 Only this module adds peripheral exponents (``shifted``, ``dress``) or moves
 labels (``apply_mcg``); the surface modules supply labels and product rules.
@@ -29,13 +31,14 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .curves import CurveClass, MappingClass, gcd_decompose, parse_slope
+from .curves import CurveClass, MappingClass, gcd_decompose, parse_power, parse_slope
 from .laurent import Laurent, ZERO, json_int, q_power
 from .polyseq import Poly1, PolySeq, expand_in, expansion_coeffs
 
 __all__ = [
     "label_type",
     "label_from_json",
+    "label_from_text",
     "SkeinElement",
     "NoProductRuleError",
     "ProductRule",
@@ -122,8 +125,7 @@ def label_from_json(kind, obj):
     it, with ``AttributeError`` or ``TypeError``."""
     key, n = kind.json_key, len(kind.periph_names)
     if key is None:
-        t = obj.strip()
-        return kind(None if t == "1" else parse_slope(t))
+        return label_from_text(kind, obj)[1]
     extra = obj.keys() - {"slope", key}
     if extra:
         raise ValueError(
@@ -138,6 +140,28 @@ def label_from_json(kind, obj):
     return kind(
         None if slope is None else parse_slope(slope), tuple(map(json_int, values))
     )
+
+
+def label_from_text(kind, text: str, letters: dict[str, str] | None = None):
+    """(flavor, label) for the ``kind`` label written ``text``.  ``name`` or
+    ``name^k`` (k >= 1), for a peripheral curve of ``kind``, and without
+    ``letters`` the torus forms ``(r,s)`` and ``1``, have flavor None;
+    ``L(r,s)`` is a slope in the flavor ``letters[L]``, and its errors quote
+    the text after L.  The letters are CLI syntax, not part of a label."""
+    names = kind.periph_names
+    for i, name in enumerate(names):
+        k = parse_power(text, name)
+        if k is not None:
+            zeros = (0,) * len(names)
+            return None, kind(None, zeros[:i] + (k,) + zeros[i + 1 :])
+    t = text.strip()
+    if letters is None:
+        return None, kind(None if t == "1" else parse_slope(t))
+    if t[:1] in letters:
+        return letters[t[0]], kind(parse_slope(t[1:]))
+    forms = [f"{letter}(r,s)" for letter in letters]
+    forms += [form for name in names for form in (name, f"{name}^k")]
+    raise ValueError(f"expected {', '.join(forms[:-1])} or {forms[-1]}, got {text!r}")
 
 
 class SkeinElement:

@@ -317,7 +317,8 @@ def json_int(value: object) -> int:
 
 
 class LaurentSyntaxError(ValueError):
-    """Raised on malformed Laurent literals, with the failing position."""
+    """A malformed literal: ``position`` is the index of the failing
+    character in ``text``, the text as given."""
 
     def __init__(self, message: str, position: int, text: str):
         super().__init__(f"{message} at position {position} in {text!r}")
@@ -342,6 +343,11 @@ def parse_laurent(text: str) -> Laurent:
     i = 0
     n = len(s)
 
+    def fail(message: str, j: int):
+        # s[j] is at[j] in text, and the end of s is the end of text.
+        at = [k for k, ch in enumerate(text) if not ch.isspace()] + [len(text)]
+        return LaurentSyntaxError(message, at[j], text)
+
     def read_int(j: int) -> tuple[int, int]:
         k = j
         if k < n and s[k] in "+-":
@@ -350,7 +356,7 @@ def parse_laurent(text: str) -> Laurent:
         while k < n and s[k] in _DIGITS:
             k += 1
         if k == start_digits:
-            raise LaurentSyntaxError("expected an integer", j, text)
+            raise fail("expected an integer", j)
         return int(s[j:k]), k
 
     first = True
@@ -360,7 +366,7 @@ def parse_laurent(text: str) -> Laurent:
             sign = -1 if s[i] == "-" else 1
             i += 1
         elif not first:
-            raise LaurentSyntaxError("expected '+' or '-'", i, text)
+            raise fail("expected '+' or '-'", i)
         first = False
         coeff = None
         if i < n and s[i] in _DIGITS:
@@ -374,6 +380,6 @@ def parse_laurent(text: str) -> Laurent:
             if coeff is None:
                 coeff = 1
         if coeff is None:
-            raise LaurentSyntaxError("expected a coefficient or 'q'", i, text)
+            raise fail("expected a coefficient or 'q'", i)
         terms[exponent] = terms.get(exponent, 0) + sign * coeff
     return Laurent(terms)

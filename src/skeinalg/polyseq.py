@@ -403,7 +403,10 @@ def parse_sequence_table(text: str, name: str) -> PolySeq:
             raise ValueError(f"{name}, line {lineno}: negative index {n}")
         if n in entries:
             raise ValueError(f"{name}, line {lineno}: duplicate index {n}")
-        coeffs = [parse_laurent(tok) for tok in tail.split()]
+        try:
+            coeffs = [parse_laurent(tok) for tok in tail.split()]
+        except ValueError as exc:
+            raise ValueError(f"{name}, line {lineno}: {exc}") from None
         if len(coeffs) != n + 1:
             raise ValueError(
                 f"{name}, line {lineno}: expected {n + 1} coefficients, "

@@ -36,13 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import ne
 
-from .curves import (
-    CurveClass,
-    curve,
-    intersection_number,
-    parse_power,
-    parse_slope,
-)
+from .curves import CurveClass, curve, intersection_number
 from . import elements
 from .elements import (
     NoProductRuleError,
@@ -90,7 +84,6 @@ __all__ = [
     "CHECKS",
     "convert",
     "upper_bound_extract",
-    "label_from_text",
     "element_from_json",
 ]
 
@@ -366,17 +359,6 @@ def upper_bound_extract(P: PolySeq, n: int) -> tuple[int, SkeinElement]:
                     f"degree {k}"
                 )
     return lowest_q_layer(convert(mul_tn1_t01(n), P, THAT))
-
-
-def label_from_text(text: str) -> PTorusLabel:
-    """Parse ``T(r,s)``, ``U`` or ``U^k`` (k >= 1)."""
-    u = parse_power(text, "U")
-    if u is not None:
-        return PTorusLabel(None, (u,))
-    t = text.strip()
-    if not t.startswith("T"):
-        raise ValueError(f"expected T(r,s), U or U^k, got {text!r}")
-    return PTorusLabel(parse_slope(t[1:]))
 
 
 def element_from_json(obj: dict) -> SkeinElement:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .curves import CurveClass, curve, parse_power, parse_slope, sigma
+from .curves import CurveClass, curve, sigma
 from . import elements
 from .elements import (
     ProductRule,
@@ -84,7 +84,6 @@ __all__ = [
     "CHECKS",
     "ForcingReport",
     "p1_forcing_witness",
-    "operand_from_text",
     "element_from_json",
 ]
 
@@ -500,24 +499,6 @@ def p1_forcing_witness(delta: int) -> ForcingReport:
     if not report.violations:
         raise AssertionError("a nonzero perturbation must violate positivity")
     return report
-
-
-_LETTER_FLAVORS = {"S": "s", "T": "that"}
-
-
-def operand_from_text(text: str) -> tuple[str | None, S04Label]:
-    """Parse ``S(r,s)`` or ``T(r,s)`` into (flavor, label), and ``gi`` or
-    ``gi^k`` (i in 1..4, k >= 1) into (None, peripheral monomial)."""
-    t = text.strip()
-    if t[:1] == "g" and t[1:2] in ("1", "2", "3", "4"):
-        k = parse_power(t, t[:2])
-        if k is not None:
-            g = [0, 0, 0, 0]
-            g[int(t[1]) - 1] = k
-            return None, S04Label(None, tuple(g))
-    if t[:1] in _LETTER_FLAVORS:
-        return _LETTER_FLAVORS[t[0]], S04Label(parse_slope(t[1:]))
-    raise ValueError(f"expected T(r,s), S(r,s), gi or gi^k (i in 1..4), got {text!r}")
 
 
 def element_from_json(obj: dict) -> SkeinElement:

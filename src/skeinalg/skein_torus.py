@@ -34,7 +34,6 @@ __all__ = [
     "structure_constants",
     "canonical_slopes",
     "positivity_scan",
-    "label_from_text",
     "element_from_json",
 ]
 
@@ -118,11 +117,6 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
                         Witness((a.text(), b.text()), label.text(), cf)
                     )
     return PositivityReport(SURFACE, P.name, bound, witnesses, q1=q1)
-
-
-def label_from_text(text: str) -> TorusLabel:
-    """Parse ``(r,s)`` or ``1``, the JSON form of a torus label."""
-    return elements.label_from_json(TorusLabel, text)
 
 
 def element_from_json(obj: dict) -> SkeinElement:

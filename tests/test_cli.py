@@ -171,7 +171,10 @@ def test_s04_mul_no_rule(capsys):
     "argv,forms",
     [
         (["ptor", "mul", "V", "U"], "T(r,s), U or U^k, got 'V'"),
-        (["s04", "mul", "g5", "S(0,1)"], "T(r,s), S(r,s), gi or gi^k (i in 1..4), got 'g5'"),
+        (
+            ["s04", "mul", "g5", "S(0,1)"],
+            "T(r,s), S(r,s), g1, g1^k, g2, g2^k, g3, g3^k, g4 or g4^k, got 'g5'",
+        ),
     ],
     ids=["ptor", "s04"],
 )

@@ -10,10 +10,16 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from skeinalg.curves import CurveClass, curve
-from skeinalg.elements import SkeinElement, combine, convert, label_from_json
+from skeinalg.curves import CurveClass, curve, parse_power, parse_slope
+from skeinalg.elements import (
+    SkeinElement,
+    combine,
+    convert,
+    label_from_json,
+    label_from_text,
+)
 from skeinalg.laurent import ONE, ZERO, Laurent
 from skeinalg.polyseq import (
     CHEB_S,
@@ -28,6 +34,7 @@ from skeinalg.positivity import perturbed_that
 from skeinalg.skein_ptorus import PTorusLabel
 from skeinalg.skein_s04 import S04Label
 from skeinalg.skein_torus import EMPTY, TorusLabel, fg_mul, mul
+from test_oracles import _GRAMMAR
 
 check = settings(max_examples=80, deadline=None)
 
@@ -546,3 +553,84 @@ def test_labels_match_the_classes_they_replaced(case):
         assert json.dumps(label.json_obj()) == json.dumps(json_obj(label))
         assert label_from_json(kind, json.loads(json.dumps(label.json_obj()))) == label
         assert label.of(label.slope, label.periph) == label
+
+
+# -- operand text: one reader against the three surface parsers it replaced ----
+
+
+def reference_torus_label_from_text(text: str):
+    t = text.strip()
+    return TorusLabel(None if t == "1" else parse_slope(t))
+
+
+def reference_ptorus_label_from_text(text: str):
+    u = parse_power(text, "U")
+    if u is not None:
+        return PTorusLabel(None, (u,))
+    t = text.strip()
+    if not t.startswith("T"):
+        raise ValueError(f"expected T(r,s), U or U^k, got {text!r}")
+    return PTorusLabel(parse_slope(t[1:]))
+
+
+def reference_s04_operand_from_text(text: str):
+    t = text.strip()
+    if t[:1] == "g" and t[1:2] in ("1", "2", "3", "4"):
+        k = parse_power(t, t[:2])
+        if k is not None:
+            g = [0, 0, 0, 0]
+            g[int(t[1]) - 1] = k
+            return None, S04Label(None, tuple(g))
+    if t[:1] in {"S": "s", "T": "that"}:
+        return {"S": "s", "T": "that"}[t[0]], S04Label(parse_slope(t[1:]))
+    raise ValueError(f"expected T(r,s), S(r,s), gi or gi^k (i in 1..4), got {text!r}")
+
+
+def _torus_operand(text: str):
+    return None, reference_torus_label_from_text(text)
+
+
+def _ptorus_operand(text: str):
+    label = reference_ptorus_label_from_text(text)
+    return (None if label.slope is None else "that"), label
+
+
+# surface: (label class, the CLI's letters, reference (flavor, label) reader)
+REFERENCE_READERS = {
+    "tor": (TorusLabel, None, _torus_operand),
+    "ptor": (PTorusLabel, {"T": "that"}, _ptorus_operand),
+    "s04": (S04Label, {"T": "that", "S": "s"}, reference_s04_operand_from_text),
+}
+
+# Heads and tails of operands over the fuzz alphabet, so that many draws read.
+_HEADS = ["", " ", "T", " S", "U", "g1", "g4", "g5", "g", "1", "T\u0663"]
+_TAILS = ["", " ", "^2", "^0", "^_1", "(1,0)", " (-2, 3)", "(0,0)", "(1,2,3)", ")"]
+operand_texts = st.one_of(
+    st.text(alphabet=_GRAMMAR, max_size=12),
+    st.tuples(st.sampled_from(_HEADS), st.sampled_from(_TAILS)).map("".join),
+)
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ValueError:
+        return ValueError
+
+
+# Each accepted form once, whatever the draws.
+@example("tor", " (2,-1) ")
+@example("tor", "1")
+@example("ptor", "T (1,0)")
+@example("ptor", "U^3")
+@example("s04", "S(0,1)")
+@example("s04", " T(1,2)")
+@example("s04", "g3^2")
+@example("s04", "g4")
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(REFERENCE_READERS)), operand_texts)
+def test_operand_reader_matches_the_parsers_it_replaced(surface, text):
+    kind, letters, reference = REFERENCE_READERS[surface]
+    assert _read(lambda t: label_from_text(kind, t, letters), text) == _read(
+        reference, text
+    )

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from skeinalg import skein_ptorus, skein_s04, skein_torus
 from skeinalg.cli import main
 from skeinalg.curves import CurveSyntaxError, parse_power, parse_slope
+from skeinalg.elements import label_from_text
 from skeinalg.laurent import Laurent, LaurentSyntaxError, parse_laurent
 from skeinalg.polyseq import (
     CHEB_S,
@@ -98,9 +99,13 @@ PARSERS = {
     "parse_laurent": parse_laurent,
     "parse_slope": parse_slope,
     "parse_sequence_table": lambda text: parse_sequence_table(text, "fuzz"),
-    "torus label": skein_torus.label_from_text,
-    "punctured-torus label": skein_ptorus.label_from_text,
-    "sphere operand": skein_s04.operand_from_text,
+    "torus label": lambda text: label_from_text(skein_torus.TorusLabel, text),
+    "punctured-torus label": lambda text: label_from_text(
+        skein_ptorus.PTorusLabel, text, {"T": "that"}
+    ),
+    "sphere operand": lambda text: label_from_text(
+        skein_s04.S04Label, text, {"T": "that", "S": "s"}
+    ),
 }
 
 # The two literal parsers name the failing position; the others may give any
@@ -135,6 +140,10 @@ FOREIGN_DIGITS = [
     (parse_laurent, "\u0663q", LaurentSyntaxError, 0),
     (parse_laurent, "q^\u00b2", LaurentSyntaxError, 2),
     (parse_laurent, "2q^1_0", LaurentSyntaxError, 4),
+    # Positions count in the literal as given, whitespace included.
+    (parse_laurent, "1 + x", LaurentSyntaxError, 4),
+    (parse_laurent, "2 q^ x", LaurentSyntaxError, 5),
+    (parse_laurent, " 3q^-2 + 1 +", LaurentSyntaxError, 12),
     (parse_slope, "(\u0661,\u0662)", CurveSyntaxError, 1),
     (parse_slope, "(1_0,2)", CurveSyntaxError, 1),
     (parse_slope, "(1,2_0)", CurveSyntaxError, 3),
@@ -145,6 +154,11 @@ FOREIGN_DIGITS = [
     # Spaces inside the parentheses count too: the position is the integer's.
     (parse_slope, "(1, x)", CurveSyntaxError, 4),
     (parse_slope, "( x,1)", CurveSyntaxError, 2),
+    # A comma count error points at the second ',', or at the ')'.
+    (parse_slope, "(1,2,3)", CurveSyntaxError, 4),
+    (parse_slope, "(1,2,)", CurveSyntaxError, 4),
+    (parse_slope, "(1)", CurveSyntaxError, 2),
+    (parse_slope, "( 1 , 2 , 3 )", CurveSyntaxError, 8),
     (lambda t: parse_power(t, "U"), "U^\u00b2", CurveSyntaxError, 2),
     (lambda t: parse_power(t, "U"), " U^\u0663", CurveSyntaxError, 3),
 ]
@@ -361,7 +375,10 @@ def test_cli_bad_sequence_file(tmp_path, name):
     path = tmp_path / "seq.txt"
     path.write_bytes(BAD_FILES[name])
     argv = ["tor", "mul", "(2,1)", "(0,1)", "--basis", f"file:{path}"]
-    _assert_one_error_line(*_run(*argv))
+    code, out, err = _run(*argv)
+    _assert_one_error_line(code, out, err)
+    if name == "bad-literal":
+        assert f"file:{path}, line 2: " in err, err
 
 
 def test_cli_unreadable_sequence_file(tmp_path):

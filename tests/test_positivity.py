@@ -173,14 +173,18 @@ def test_sandwich_failure_implies_scan_violation():
 
 
 def test_scan_witnesses_replay():
-    from skeinalg.skein_torus import label_from_text, structure_constants
+    from skeinalg.elements import label_from_text
+    from skeinalg.skein_torus import TorusLabel, structure_constants
+
+    def label(text):
+        return label_from_text(TorusLabel, text)[1]
 
     report = positivity_scan(CHEB_S, 2)
     for w in report.witnesses[:10]:
-        a = label_from_text(w.inputs[0])
-        b = label_from_text(w.inputs[1])
+        a = label(w.inputs[0])
+        b = label(w.inputs[1])
         prod = structure_constants(CHEB_S, a, b)
-        assert prod.coeff(label_from_text(w.label)) == w.coeff
+        assert prod.coeff(label(w.label)) == w.coeff
 
 
 # -- witness forms against the reference enumeration ---------------------------

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from skeinalg.curves import MappingClass, curve, sigma
-from skeinalg.elements import SkeinElement, apply_mcg, single
+from skeinalg.elements import SkeinElement, apply_mcg, label_from_text, single
 from skeinalg.laurent import ONE, Laurent, const, parse_laurent, q_power
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_torus import (
     EMPTY,
     SURFACE,
+    TorusLabel,
     canonical_slopes,
     convert,
     element_from_json,
     fg_mul,
-    label_from_text,
     mul,
     positivity_scan,
     structure_constants,
@@ -233,5 +233,5 @@ def test_element_json_round_trip():
 
 
 def test_label_from_text():
-    assert label_from_text("1") == EMPTY
-    assert label_from_text("(2,-1)") == tlabel(-2, 1)
+    assert label_from_text(TorusLabel, "1") == (None, EMPTY)
+    assert label_from_text(TorusLabel, "(2,-1)") == (None, tlabel(-2, 1))
