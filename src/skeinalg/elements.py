@@ -1,8 +1,9 @@
 """Linear combinations of basis labels over Z[q, q^-1].
 
 A skein element is a finite sum of surface-specific labels with Laurent
-coefficients, tagged with the surface and the basis flavor (the name of the
-polynomial sequence its labels are read in).
+coefficients, tagged with the surface and the basis flavor: the polynomial
+sequence its labels are read in, but the sphere's product flavors ``s`` and
+``that`` read peripheral exponents as monomials; ``convert`` keeps this rule.
 
 Labels are one definition, ``label_type``: a frozen value holding an
 optional ``slope`` and the tuple ``periph`` of exponents of the surface's
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .curves import CurveClass, MappingClass, gcd_decompose, parse_power, parse_slope
 from .laurent import Laurent, ZERO, json_int, q_power
-from .polyseq import Poly1, PolySeq, expand_in, expansion_coeffs
+from .polyseq import MONOMIAL, Poly1, PolySeq, expand_in, expansion_coeffs
 
 __all__ = [
     "label_type",
@@ -376,42 +377,38 @@ def instantiate(
     return SkeinElement(surface, basis.name, terms)
 
 
-# The product flavors of a surface, which read peripheral exponents as plain
-# monomials, not in the flavor: ``convert`` would misread them.  The rows of
-# the sphere's product table that hold in two flavors hold in these.
+# Per surface, the flavors that read peripheral exponents as monomials: the
+# sphere's product flavors, in which its two-flavor product rows hold.
 _MONOMIAL_PERIPHERALS = {"s04": ("s", "that")}
 
 
 def convert(elem: SkeinElement, target: PolySeq, source: PolySeq) -> SkeinElement:
     """Exact change of basis flavor.
 
-    Every exponent of a label is read in the flavor: a slope of
-    multiplicity d carries the source sequence's degree-d entry on its
-    primitive curve, and a peripheral exponent e the degree-e entry on its
-    peripheral curve.  Each entry is rewritten over the target sequence,
-    its degree-k term landing on exponent k; a slope of exponent 0 is the
-    empty slope.  From a sequence to itself nothing is re-read, so a
-    slope of any multiplicity costs nothing.
+    A slope of multiplicity d carries the flavor sequence's degree-d entry
+    on its primitive curve, and a peripheral exponent e the degree-e entry
+    on its peripheral curve, of ``MONOMIAL`` in a flavor the surface lists
+    in ``_MONOMIAL_PERIPHERALS``.  Each entry is rewritten over the target
+    by the same rule, its degree-k term landing on exponent k; a slope of
+    exponent 0 is the empty slope.  From a sequence to itself nothing is
+    re-read, so a slope of any multiplicity costs nothing.
     """
     if source.name != elem.flavor:
         raise ValueError(
             f"element flavor {elem.flavor!r} does not match source {source.name!r}"
         )
-    for name in (source.name, target.name):
-        if name in _MONOMIAL_PERIPHERALS.get(elem.surface, ()):
-            raise ValueError(
-                f"cannot convert {elem.surface!r} elements in the {name!r} "
-                "flavor: it reads peripheral exponents as monomials"
-            )
     if source is target:
         return elem
+    monomial = _MONOMIAL_PERIPHERALS.get(elem.surface, ())
+    p_source = MONOMIAL if source.name in monomial else source
+    p_target = MONOMIAL if target.name in monomial else target
     terms = []
     for label, c in elem._terms.items():
         # (peripheral exponents, coefficient) pairs, each exponent re-read.
         periphs = [(label.periph, c)]
         for i, e in enumerate(label.periph):
             if e:
-                coeffs = expansion_coeffs(source, target, e)
+                coeffs = expansion_coeffs(p_source, p_target, e)
                 periphs = [
                     (p[:i] + (j,) + p[i + 1 :], pc * cj)
                     for p, pc in periphs

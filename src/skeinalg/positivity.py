@@ -53,6 +53,7 @@ from .reports import PositivityReport, Witness
 from .skein_s04 import S04Label, mul_tna_b
 from .skein_s04 import SURFACE as S04_SURFACE
 from .skein_torus import EMPTY, TorusLabel, structure_constants, tlabel
+from .skein_torus import SURFACE as TORUS_SURFACE
 
 __all__ = [
     "perturbed_that",
@@ -202,7 +203,7 @@ class UniquenessReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "surface": "t10",
+            "surface": TORUS_SURFACE,
             "n_max": self.n_max,
             "coeff_box": self.coeff_box,
             "q1": self.q1,

@@ -1,23 +1,23 @@
 """Partial multiplication on the four-punctured sphere.
 
 Labels pair an optional slope with a vector of exponents of the four
-central peripheral curves g1..g4.  The slope part of a label is read in
-the declared flavor (degree-d entry of the sequence on the primitive
-curve); peripheral exponents are plain monomial powers.  Since the
-peripheral curves are central and generate a polynomial subalgebra, slope
-labels dressed with peripheral monomials still form a free module basis,
-and all identities below are exact in it.
+central peripheral curves g1..g4.  In the product flavors ``s`` and
+``that`` the slope part of a label is read in the flavor (degree-d entry
+of the sequence on the primitive curve) and peripheral exponents are plain
+monomial powers.  Since the peripheral curves are central and generate a
+polynomial subalgebra, slope labels dressed with peripheral monomials
+still form a free module basis, and all identities below are exact in it.
 
-Two families of rules are implemented, and nothing else.  ``product``
-multiplies two labels by the first matching row of ``PRODUCTS``; unsupported
-pairs raise ``NoProductRuleError``.  Since the peripheral exponents are
-plain monomial powers, every row multiplies the two slopes and adds the
+``product`` multiplies two labels by the first row of ``PRODUCTS`` that
+holds in the flavor and matches them; other pairs raise
+``NoProductRuleError``.  Every row multiplies the two slopes and adds the
 exponents of both factors to its output with ``dress`` or ``shifted``.
 
-  * type-one flavor: the resolution of the (1,0) curve against (n,1)
-    produces two shifted terms plus a parity-dependent peripheral constant
-    c_n; iterating it expands any type-one power of (1,0) against (0,1)
-    with quantum-integer corrections.
+  * both flavors: gi^k against any label; (1,0)*(k,0), one-variable
+    multiplication on (1,0); and (1,0)*(n,1), whose resolution gives two
+    shifted terms plus a parity-dependent peripheral constant c_n.
+  * type-one flavor: (n,0)*(0,1) in closed form, with quantum-integer
+    corrections; iterating (1,0)*(n,1) checks it.
   * type-two flavor: the mixed products (1,0)*(m,2) and the tower
     (n,1)*(0,1), whose peripheral corrections are the double sums g_n and
     a remainder h_n defined operationally as whatever is left after the

@@ -183,6 +183,8 @@ def test_poly_str():
     assert str(THAT.poly(5)) == "x^5 - 5*x^3 + 5*x"
     assert str(Poly1()) == "0"
     assert str(Poly1([parse_laurent("q^2+q^-2"), ONE])) == "x + (q^-2 + q^2)"
+    # A coefficient of more than one term, above degree 0, is bracketed.
+    assert str(Poly1([ZERO, parse_laurent("1 + q")])) == "(1 + q)*x"
 
 
 def test_sequence_table_parsing():

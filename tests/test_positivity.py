@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -281,6 +282,44 @@ def test_survivor_recheck_catches_forms_that_clear_a_killed_perturbation(monkeyp
     monkeypatch.setattr(positivity, "_form_values", clearing)
     with pytest.raises(AssertionError, match=r"let \(1, 0\) through"):
         torus_uniqueness(2, 1)
+
+
+def test_a_perturbation_both_paths_clear_is_reported_unkilled(monkeypatch):
+    # Forms and reference path that both clear (1, 0) make it a survivor:
+    # the level is not all killed, the verdict fails, and the JSON lists it.
+    form_values = positivity._form_values
+    witnesses = positivity._uniqueness_witnesses
+
+    def clearing(forms, deltas):
+        if deltas == (1, 0):
+            return ((kind, [(key, ONE) for key, *_ in terms]) for kind, terms in forms)
+        return form_values(forms, deltas)
+
+    def reference(P, level, q1):
+        return iter(()) if P.name == "that-pert2[1,0]" else witnesses(P, level, q1)
+
+    monkeypatch.setattr(positivity, "_form_values", clearing)
+    monkeypatch.setattr(positivity, "_uniqueness_witnesses", reference)
+    report = torus_uniqueness(2, 1)
+    (lv,) = report.levels
+    assert lv.unkilled == [(1, 0)]
+    assert (1, 0) not in [rec.deltas for rec in lv.killed]
+    assert lv.n_perturbations == 8
+    assert not lv.all_killed
+    assert report.t_hat_clean and not report.certified
+    obj = report.to_json_obj()
+    assert obj["verdict"] == "not-certified"
+    assert obj["levels"][0]["all_killed"] is False
+    assert obj["levels"][0]["unkilled"] == [[1, 0]]
+
+
+def test_replay_refuses_a_record_it_does_not_reproduce():
+    record = torus_uniqueness(2, 1).levels[0].killed[0]
+    assert replay_uniqueness_witness(record)
+    never_fires = dataclasses.replace(record, witness_kind="no-such-kind")
+    wrong_label = dataclasses.replace(record, label="(9,1)")
+    assert not replay_uniqueness_witness(never_fires)
+    assert not replay_uniqueness_witness(wrong_label)
 
 
 # -- every witness is a labelled torus product ----------------------------------

@@ -5,7 +5,14 @@ from itertools import combinations
 import pytest
 
 from skeinalg.curves import curve, sigma
-from skeinalg.elements import NoProductRuleError, SkeinElement, apply_mcg, convert, single
+from skeinalg.elements import (
+    NoProductRuleError,
+    SkeinElement,
+    apply_mcg,
+    combine,
+    convert,
+    single,
+)
 from skeinalg.laurent import ONE, const, parse_laurent, q_power
 from skeinalg.polyseq import CHEB_S, MONOMIAL, THAT
 from skeinalg.skein_s04 import (
@@ -28,6 +35,7 @@ from skeinalg.skein_s04 import (
     mul_sn1_s01,
     mul_tna_b,
     p1_forcing_witness,
+    product,
     slabel,
     tna_b_by_recurrence,
 )
@@ -363,16 +371,65 @@ def test_p1_forcing_matches_inclusion_exclusion(delta):
     assert p1_forcing_witness(delta).element == _forcing_by_inclusion_exclusion(delta)
 
 
-@pytest.mark.parametrize(
-    "source,target",
-    [(CHEB_S, MONOMIAL), (MONOMIAL, THAT), (CHEB_S, CHEB_S), (THAT, THAT)],
+_DRESSINGS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0), (1, 1, 1, 1)]
+_RIGHT_SLOPES = (
+    [None]
+    + [curve(k, 0) for k in range(1, 6)]
+    + [curve(m, 1) for m in range(-3, 4)]
 )
-def test_convert_refuses_product_flavors(source, target):
-    # The s and that flavors read peripheral exponents as monomials, also
-    # when the target is the source.
-    elem = single(SURFACE, source.name, S04Label(curve(1, 0), (1, 0, 0, 0)))
-    with pytest.raises(ValueError, match="peripheral exponents as monomials"):
-        convert(elem, target, source)
+
+
+def _product_pairs():
+    """The label pairs of the three rows that hold in both product flavors:
+    gi^k * label, (1,0) * (n,1) and (1,0) * (k,0), each dressed."""
+    for ga in _DRESSINGS:
+        for gb in _DRESSINGS:
+            for slope in _RIGHT_SLOPES + [curve(m, 2) for m in range(-3, 4)]:
+                yield S04Label(None, ga), S04Label(slope, gb)
+            for slope in _RIGHT_SLOPES:
+                yield S04Label(curve(1, 0), ga), S04Label(slope, gb)
+
+
+def _bilinear(x, y, flavor):
+    """x * y term by term through ``product`` in ``flavor``."""
+    return combine(
+        SURFACE,
+        flavor,
+        [
+            (product(la, lb, flavor), ca * cb)
+            for la, ca in x.items()
+            for lb, cb in y.items()
+        ],
+    )
+
+
+@pytest.mark.parametrize("source,target", [(CHEB_S, THAT), (THAT, CHEB_S)])
+def test_convert_between_product_flavors_is_exact(source, target):
+    # The product flavors read peripheral exponents as monomials, so only
+    # slopes are re-read, and each product converts to the product of the
+    # converted factors.
+    def read(label):
+        return convert(single(SURFACE, source.name, label), target, source)
+
+    for a, b in _product_pairs():
+        got = convert(product(a, b, source.name), target, source)
+        assert got == _bilinear(read(a), read(b), target.name), (a.text(), b.text())
+
+
+def test_convert_keeps_peripheral_monomials_in_product_flavors():
+    g = S04Label(None, (2, 0, 3, 0))
+    for source, target in [(CHEB_S, THAT), (THAT, MONOMIAL), (MONOMIAL, CHEB_S)]:
+        got = convert(single(SURFACE, source.name, g), target, source)
+        assert got == single(SURFACE, target.name, g)
+
+
+@pytest.mark.parametrize("middle", [THAT, MONOMIAL])
+def test_convert_round_trips_the_tower(middle):
+    for k, full in enumerate(mul_sn1_s01(11)):
+        there = convert(full, middle, CHEB_S)
+        assert there.flavor == middle.name
+        assert convert(there, CHEB_S, middle) == full, k
+
 
 def test_element_json_round_trip():
     e = mul_sn1_s01(3)[3]

@@ -25,6 +25,21 @@ def _elem(*pairs, flavor="that"):
     return SkeinElement(SURFACE, flavor, list(pairs))
 
 
+def test_equal_elements_hash_alike():
+    three = single(SURFACE, "that", tlabel(1, 0), 3)
+    also_three = single(SURFACE, "that", tlabel(1, 0), const(3))
+    assert three == also_three
+    assert hash(three) == hash(also_three)
+    assert len({three, also_three}) == 1
+
+
+def test_zero_element_text():
+    zero = _elem()
+    assert zero.is_zero
+    assert zero.text() == "0"
+    assert repr(zero) == "<t10:that 0>"
+
+
 def test_fg_mul_examples():
     assert fg_mul(tlabel(1, 0), tlabel(0, 1)) == _elem(
         (tlabel(1, 1), q_power(1)), (tlabel(-1, 1), q_power(-1))
