@@ -5,10 +5,10 @@ A curve class is a nonzero integer pair (r, s) modulo the identification
 representative has s > 0, or s = 0 and r > 0.  Non-primitive pairs are
 allowed and stand for gcd(r, s) parallel copies of the primitive class.
 
-The tori carry the full SL(2,Z) mapping class action (the standard linear
-action on slopes).  On the four-punctured sphere this library only exposes
-the half twist `sigma` and its inverse; `sigma` fixes punctures 3 and 4 and
-exchanges punctures 1 and 2.
+Every SL(2,Z) matrix acts on the slopes of all three surfaces by the
+standard linear action.  On the four-punctured sphere it also permutes the
+punctures (``elements.apply_mcg``); the half twist `sigma` fixes punctures
+3 and 4 and exchanges punctures 1 and 2.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ def parse_power(text: str, head: str) -> int | None:
 
 @dataclass(frozen=True)
 class MappingClass:
-    """A mapping class of the torus as a 2x2 integer matrix of determinant 1."""
+    """A mapping class as a 2x2 integer matrix of determinant 1: it acts on
+    the slopes of the torus, the punctured torus and the sphere alike."""
 
     a: int
     b: int

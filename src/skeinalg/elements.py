@@ -15,6 +15,9 @@ it takes (``T``, ``S``), each naming a basis flavor, are CLI syntax.
 
 Only this module adds peripheral exponents (``shifted``, ``dress``) or moves
 labels (``apply_mcg``); the surface modules supply labels and product rules.
+A matrix moves slopes linearly and permutes peripheral exponents as it
+permutes the curves' parity classes mod 2, which ``label_type`` takes once
+per surface; a curve without a class, as on the punctured torus, stays put.
 
 Elements are canonical (no zero coefficients) and immutable: no operation
 changes its input, and ``convert`` from a sequence to itself returns it.
@@ -63,10 +66,14 @@ class NoProductRuleError(ValueError):
     """A product was requested outside the proved partial multiplication."""
 
 
-def label_type(name: str, names: tuple[str, ...] = (), key: str | None = None):
+def label_type(
+    name: str, names: tuple[str, ...] = (), key: str | None = None, classes=None
+):
     """The label class ``name`` of a surface whose peripheral curves are
     ``names``: a label is an optional ``slope`` and the tuple ``periph`` of
-    nonnegative exponents, one per peripheral curve.
+    nonnegative exponents, one per peripheral curve.  ``classes`` gives each
+    curve's parity class, the pair (r, s) mod 2 that SL(2,Z) moves it with,
+    or None for a curve every mapping class fixes (the default for all).
 
     Labels sort by ``(0,0,0,*periph)`` without a slope and ``(1,s,r,*periph)``
     with one.  The JSON form is ``{"slope": ..., key: ...}``, with one
@@ -81,6 +88,7 @@ def label_type(name: str, names: tuple[str, ...] = (), key: str | None = None):
         slope: CurveClass | None = None
         periph: tuple[int, ...] = (0,) * n
         periph_names = names
+        periph_classes = (None,) * n if classes is None else classes
         json_key = key
 
         def __post_init__(self):
@@ -345,15 +353,22 @@ def dress(elem: SkeinElement, *labels) -> SkeinElement:
     )
 
 
-def apply_mcg(elem: SkeinElement, m: MappingClass, periph_perm=None) -> SkeinElement:
+def apply_mcg(elem: SkeinElement, m: MappingClass) -> SkeinElement:
     """Move ``elem`` by a mapping class: every slope moves by ``m.apply``,
-    and with ``periph_perm`` exponent i of each label is exponent
-    ``periph_perm[i]`` of the input, as the class permutes the punctures."""
+    and exponent i of a moved label is exponent j of the old one when ``m``
+    sends the parity class of curve j to that of curve i mod 2.  A curve
+    without a class keeps its exponent."""
+    if elem.is_zero:
+        return elem
+    classes = type(next(iter(elem._terms))).periph_classes
+    moved = [
+        c and ((m.a * c[0] + m.b * c[1]) % 2, (m.c * c[0] + m.d * c[1]) % 2)
+        for c in classes
+    ]
+    perm = [i if c is None else moved.index(c) for i, c in enumerate(classes)]
 
     def act(label):
-        p = label.periph
-        if periph_perm is not None:
-            p = tuple(p[j] for j in periph_perm)
+        p = tuple(label.periph[j] for j in perm)
         return label.of(None if label.slope is None else m.apply(label.slope), p)
 
     return elem.map_labels(act)

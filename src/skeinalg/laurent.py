@@ -297,10 +297,11 @@ def quantum_int(i: int) -> Laurent:
 def ascii_int(text: str) -> int:
     """``int(text)`` for a literal of ASCII digits with an optional sign.
 
-    ``int`` alone also reads every other Unicode decimal digit and
-    underscores between digits; this raises ``ValueError`` on both.
+    ``int`` alone also reads every other Unicode decimal digit, underscores
+    between digits and surrounding whitespace; this raises ``ValueError`` on
+    all three.
     """
-    if not text.isascii() or "_" in text:
+    if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"not an ASCII integer: {text!r}")
     return int(text)
 

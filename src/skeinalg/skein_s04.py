@@ -89,7 +89,13 @@ __all__ = [
 
 SURFACE = "s04"
 
-S04Label = label_type("S04Label", ("g1", "g2", "g3", "g4"), "g")
+# The sphere is the torus modulo -I, and its punctures are the four points of
+# order 2.  A matrix moves g1, g2, g3, the half-periods of parity (0,1), (1,1),
+# (1,0), as it moves their classes mod 2, and fixes g4, the origin: the
+# mapping classes fixing one puncture are PSL(2,Z).
+S04Label = label_type(
+    "S04Label", ("g1", "g2", "g3", "g4"), "g", ((0, 1), (1, 1), (1, 0), None)
+)
 S04_EMPTY = S04Label()
 
 
@@ -401,12 +407,9 @@ def _tna_b_check(n_max: int) -> CheckReport:
 
 
 def _sigma_check(n_max: int) -> CheckReport:
-    def half_twist(elem: SkeinElement) -> SkeinElement:
-        return apply_mcg(elem, sigma(), (1, 0, 2, 3))
-
-    span = range(-n_max, n_max)
-    a_bn = [n for n in span if half_twist(mul_a_bn(n, "s")) != mul_a_bn(n + 1, "s")]
-    s10_m2 = [m for m in span if half_twist(mul_s10_sm2(m)) != mul_s10_sm2(m + 2)]
+    span, t = range(-n_max, n_max), sigma()
+    a_bn = [n for n in span if apply_mcg(mul_a_bn(n, "s"), t) != mul_a_bn(n + 1, "s")]
+    s10_m2 = [m for m in span if apply_mcg(mul_s10_sm2(m), t) != mul_s10_sm2(m + 2)]
     bad = [("a-bn", n) for n in a_bn] + [("s10-m2", m) for m in s10_m2]
     verdict = f"mismatches {bad}" if bad else "equivariant"
     summary = f"half-twist transport, |n| <= {n_max}: {verdict}"

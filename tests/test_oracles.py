@@ -198,6 +198,8 @@ BAD_TERMS = {
     "foreign-digit exponent": lambda label: {"label": label, "coeff": {"\u0663": 1}},
     "underscore exponent": lambda label: {"label": label, "coeff": {"1_0": 1}},
     "bad exponent": lambda label: {"label": label, "coeff": {"q": 1}},
+    "padded exponent": lambda label: {"label": label, "coeff": {" 1 ": 3}},
+    "padded coefficient": lambda label: {"label": label, "coeff": {"0": "7 "}},
 }
 
 
@@ -269,7 +271,7 @@ def test_loaders_read_a_well_formed_term(surface):
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, 2.0, True, False, None, [1], "1.5", "1_0", "\u0663"]
+    "value", [1.5, 2.0, True, False, None, [1], "1.5", "1_0", "\u0663", " 3", "7 "]
 )
 def test_laurent_json_coefficients_are_integers(value):
     with pytest.raises(ValueError):
