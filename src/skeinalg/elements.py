@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .curves import CurveClass, MappingClass, gcd_decompose, parse_power, parse_slope
 from .laurent import Laurent, ZERO, json_int, q_power
-from .polyseq import MONOMIAL, Poly1, PolySeq, expand_in, expansion_coeffs
+from .polyseq import MONOMIAL, PolySeq, expansion_coeffs
 
 __all__ = [
     "label_type",
@@ -375,18 +375,19 @@ def apply_mcg(elem: SkeinElement, m: MappingClass) -> SkeinElement:
 
 
 def instantiate(
-    surface: str, p: Poly1, prim: CurveClass, basis: PolySeq, like
+    surface: str, coeffs: list[Laurent], prim: CurveClass, basis: PolySeq, like
 ) -> SkeinElement:
-    """Read a one-variable polynomial on a primitive curve as an element.
+    """Read a one-variable polynomial on a primitive curve as an element,
+    from its coefficients over the basis sequence (``expand_in``).
 
-    The degree-k part of p, expanded over the basis sequence, lands on the
-    slope ``k * prim`` and the constant part on the empty slope; every
-    label is built by ``like.of`` and carries ``like.periph``.
+    The coefficient of basis_k lands on the slope ``k * prim`` and that of
+    basis_0 on the empty slope; every label is built by ``like.of`` and
+    carries ``like.periph``.
     """
     of, periph = like.of, like.periph
     terms = [
         (of(None if k == 0 else prim.scaled(k), periph), c)
-        for k, c in enumerate(expand_in(p, basis))
+        for k, c in enumerate(coeffs)
         if not c.is_zero
     ]
     return SkeinElement(surface, basis.name, terms)

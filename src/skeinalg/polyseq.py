@@ -15,6 +15,11 @@ combination of P_0..P_n".
 Sequences are generated lazily and memoized, and every generated entry is
 checked to be monic of its degree; user sequences come from explicit
 coefficient tables and are validated at load time.
+
+Read backwards, the recurrence is the three-term rule x P_0 = P_1 and
+x P_d = P_(d+1) + P_(d-1) for d >= 1, with one more P_0 in x T^_1 = T^_2 + 2.
+``_x_times`` gives x P_d over P by it for both Chebyshev-type sequences,
+without building an entry, and by elimination for any other sequence.
 """
 
 from __future__ import annotations
@@ -309,8 +314,8 @@ def substitute_t(p: Poly1) -> Laurent:
 def expand_in(p: Poly1, basis: PolySeq) -> list[Laurent]:
     """Coefficients (c_0..c_d) with p = sum c_k * basis_k, d = deg p.
 
-    Computed by exact descending elimination against the monic basis, in
-    place on p's coefficient list: each step subtracts c_k * basis_k where
+    Computed by exact descending elimination against the monic basis, on a
+    copy of p's coefficient list: each step subtracts c_k * basis_k where
     the basis entry is nonzero.  The expansion is unique.  Returns [] for
     the zero polynomial.
     """
@@ -325,6 +330,17 @@ def expand_in(p: Poly1, basis: PolySeq) -> list[Laurent]:
                     work[j] = work[j] - c * b
     if any(work):
         raise AssertionError("descending elimination failed to terminate")
+    return out
+
+
+def _x_times(seq: PolySeq, d: int) -> list[Laurent]:
+    """``expand_in(X * seq.poly(d), seq)``: for ``THAT`` and ``CHEB_S`` by
+    the three-term rule, which builds no entry of the sequence."""
+    if seq not in (THAT, CHEB_S):
+        return expand_in(X * seq.poly(d), seq)
+    out = [ZERO] * (d + 1) + [ONE]
+    if d:
+        out[d - 1] = const(2) if seq is THAT and d == 1 else ONE
     return out
 
 

@@ -62,6 +62,7 @@ from .polyseq import (
     Poly1,
     PolySeq,
     X,
+    _x_times,
     expand_in,
 )
 from .reports import Check, CheckReport
@@ -105,7 +106,7 @@ def parity_indicator(n: int) -> int:
 
 def _on_curve(p: Poly1, prim: CurveClass, like=PT_EMPTY) -> SkeinElement:
     """p read in the type-one flavor on a primitive curve, with like's U-power."""
-    return instantiate(SURFACE, p, prim, THAT, like)
+    return instantiate(SURFACE, expand_in(p, THAT), prim, THAT, like)
 
 
 def mul_once(a: PTorusLabel, b: CurveClass) -> SkeinElement:
@@ -228,6 +229,16 @@ def _meets_once(a: PTorusLabel, b: PTorusLabel) -> bool:
     )
 
 
+def _times_u_power(a: PTorusLabel, b: PTorusLabel) -> SkeinElement:
+    """U^j * U^k by T^_j T^_k = T^_(j+k) + T^_|j-k|, which holds for j, k >= 1
+    when T^_0 counts as T_0 = 2; U^0 is the unit."""
+    j, k = a.periph[0], b.periph[0]
+    terms = [(PTorusLabel(None, (j + k,)), 1)]
+    if j and k:
+        terms.append((PTorusLabel(None, (abs(j - k),)), 2 if j == k else 1))
+    return SkeinElement(SURFACE, "that", terms)
+
+
 T10 = PTorusLabel(curve(1, 0))
 T01 = PTorusLabel(curve(0, 1))
 
@@ -237,16 +248,7 @@ PRODUCTS = (
     ProductRule(
         "U^j * U^k",
         lambda a, b: a.slope is None and b.slope is None,
-        lambda a, b, flavor: SkeinElement(
-            SURFACE,
-            "that",
-            [
-                (PTorusLabel(None, (j,)), c)
-                for j, c in enumerate(
-                    expand_in(THAT.poly(a.periph[0]) * THAT.poly(b.periph[0]), THAT)
-                )
-            ],
-        ),
+        lambda a, b, flavor: _times_u_power(a, b),
     ),
     ProductRule(
         "U^k * (r,s) and (r,s) * U^k",
@@ -275,8 +277,8 @@ PRODUCTS = (
     ProductRule(
         "(1,0) * (k,0)",
         lambda a, b: a.slope == T10.slope and _is_slope(b, 0) and _one_u(a, b),
-        lambda a, b, flavor: _on_curve(
-            X * THAT.poly(b.slope.d), T10.slope, shifted(a, b)
+        lambda a, b, flavor: instantiate(
+            SURFACE, _x_times(THAT, b.slope.d), T10.slope, THAT, shifted(a, b)
         ),
     ),
 )

@@ -57,7 +57,16 @@ from .elements import (
     single,
 )
 from .laurent import Laurent, ONE, const, q_power, quantum_int
-from .polyseq import CHEB_S, MONOMIAL, Poly1, PolySeq, X, builtin_sequence
+from .polyseq import (
+    CHEB_S,
+    MONOMIAL,
+    Poly1,
+    PolySeq,
+    X,
+    _x_times,
+    builtin_sequence,
+    expand_in,
+)
 from .reports import Check, CheckReport
 
 __all__ = [
@@ -256,7 +265,7 @@ def mul_sn1_s01(n: int) -> list[SkeinElement]:
     if n < 0:
         raise ValueError("index must be nonnegative")
     products = [
-        instantiate(SURFACE, X * X, curve(0, 1), CHEB_S, S04_EMPTY),
+        instantiate(SURFACE, expand_in(X * X, CHEB_S), curve(0, 1), CHEB_S, S04_EMPTY),
         _pair("s", curve(1, 2), curve(1, 0), 2) + gamma_pair_ab(),
     ]
     for k in range(2, n + 1):
@@ -304,9 +313,9 @@ def extract_lowest_s04(n: int) -> tuple[int, SkeinElement, bool]:
 
 def _times_power_of_10(a: S04Label, b: S04Label, flavor: str) -> SkeinElement:
     """a * b for a of slope (1,0) and b of slope (k,0), by one-variable
-    multiplication in the flavor's sequence on (1,0)."""
+    multiplication in the flavor's sequence on (1,0): its three-term rule."""
     seq = builtin_sequence(flavor)
-    return instantiate(SURFACE, X * seq.poly(b.slope.d), S10.slope, seq, shifted(a, b))
+    return instantiate(SURFACE, _x_times(seq, b.slope.d), S10.slope, seq, shifted(a, b))
 
 
 S10 = S04Label(curve(1, 0))

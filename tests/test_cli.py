@@ -277,6 +277,19 @@ def test_peripheral_token_products(capsys):
     assert out == "g2^2*g3\n"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # x T^_1 = T^_2 + 2 is the one seed exception of the three-term rule.
+        (["s04", "mul", "T(1,0)", "T(1,0)"], "2 + (2,0)\n"),
+        (["s04", "mul", "S(1,0)", "S(1,0)"], "1 + (2,0)\n"),
+        (["ptor", "mul", "T(1,0)", "T(1,0)"], "2 + (2,0)\n"),
+    ],
+)
+def test_power_of_10_seed_products(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want)
+
+
 def test_text_and_json_describe_same_terms(capsys):
     _, text = run(capsys, "tor", "mul", "(2,1)", "(0,1)", "--basis", "s")
     _, js = run(capsys, "tor", "mul", "(2,1)", "(0,1)", "--basis", "s", "--json")

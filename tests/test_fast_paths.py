@@ -1,10 +1,11 @@
 """Every fast path of the ring kernel and of change of basis against the
 reference it replaced: the Poly1-based elimination, expansion without the
-shared-entry shortcut, results built through the public constructors, the
-element sums that each merged terms on their own before ``combine``, the
-element builder that hashed each label three times, the slope hash computed
-on every call, the torus product over sorted terms, the copying product by 1
-and the three label classes that each wrote their own order, text and JSON."""
+shared-entry shortcut, x P_d by the three-term rule instead of elimination,
+results built through the public constructors, the element sums that each
+merged terms on their own before ``combine``, the element builder that hashed
+each label three times, the slope hash computed on every call, the torus
+product over sorted terms, the copying product by 1 and the three label
+classes that each wrote their own order, text and JSON."""
 
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from skeinalg import skein_ptorus, skein_s04
 from skeinalg.curves import CurveClass, curve, parse_power, parse_slope
 from skeinalg.elements import (
     SkeinElement,
@@ -26,6 +28,8 @@ from skeinalg.polyseq import (
     MONOMIAL,
     THAT,
     Poly1,
+    X,
+    _x_times,
     expand_in,
     expansion_coeffs,
     parse_sequence_table,
@@ -139,6 +143,36 @@ def test_shared_entry_shortcut_equals_expansion(P):
         assert expansion_coeffs(P, P, n) == tuple(reference_expand_in(P.poly(n), P))
     if P.name.startswith("that-pert"):
         assert shared >= 2 * P.max_n  # every entry below the perturbed one
+
+
+# -- x P_d by the three-term rule ----------------------------------------------
+
+
+@pytest.mark.parametrize("P", [THAT, CHEB_S, MONOMIAL], ids=lambda P: P.name)
+def test_x_times_matches_elimination_over_builtins(P):
+    for d in range(61):
+        assert _x_times(P, d) == expand_in(X * P.poly(d), P)
+
+
+@check
+@given(st.one_of(perturbations, file_sequences()))
+def test_x_times_falls_back_to_elimination(P):
+    for d in range(P.max_n):
+        assert _x_times(P, d) == expand_in(X * P.poly(d), P)
+
+
+def test_power_of_10_row_builds_no_sequence_entry():
+    # The (1,0) * (k,0) row of both punctured surfaces reads the rule, so a
+    # product at k = 10,000 costs no entry of either builtin sequence.  The
+    # check at k = 300 fails first, and cheaply, on a row that builds them.
+    for k in (300, 10_000):
+        built = len(THAT._polys), len(CHEB_S._polys)
+        a, b = curve(1, 0), curve(k, 0)
+        got = [skein_ptorus.product(PTorusLabel(a), PTorusLabel(b))]
+        for flavor in ("s", "that"):
+            got.append(skein_s04.product(S04Label(a), S04Label(b), flavor))
+        assert [elem.text() for elem in got] == [f"({k - 1},0) + ({k + 1},0)"] * 3
+        assert (len(THAT._polys), len(CHEB_S._polys)) == built
 
 
 # -- canonical values from the private constructors ----------------------------

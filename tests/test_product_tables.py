@@ -47,11 +47,16 @@ def test_ptor_refuses_u_dressed_n2():
 
 
 def test_ptor_u_power_product_is_one_variable():
-    for j in range(4):
-        for k in range(4):
+    # The three-term rule against the one-variable product, expanded.
+    for j in range(31):
+        for k in range(31):
             got = skein_ptorus.product(PTorusLabel(None, (j,)), PTorusLabel(None, (k,)))
             want = expand_in(THAT.poly(j) * THAT.poly(k), THAT)
-            assert [got.coeff(PTorusLabel(None, (i,))) for i in range(j + k + 1)] == want
+            assert got == SkeinElement(
+                skein_ptorus.SURFACE,
+                "that",
+                [(PTorusLabel(None, (i,)), c) for i, c in enumerate(want)],
+            )
 
 
 def test_ptor_mul_by_t10_matches_product():
