@@ -7,8 +7,8 @@ sequence its labels are read in, but the sphere's product flavors ``s`` and
 
 Labels are one definition, ``label_type``: a frozen value holding an
 optional ``slope`` and the tuple ``periph`` of exponents of the surface's
-peripheral curves, with ``of(slope, periph)``, ``sort_key``, ``text`` and
-``json_obj``, read back by ``label_from_json``.  A surface names only its
+peripheral curves, with ``sort_key``, ``text`` and ``json_obj``, read back
+by ``label_from_json``.  A surface names only its
 peripheral curves and the JSON key of their exponents.  ``label_from_text``
 is the one reader of operand text for all three surfaces; the slope letters
 it takes (``T``, ``S``), each naming a basis flavor, are CLI syntax.
@@ -98,10 +98,6 @@ def label_type(
                     "expected a nonnegative exponent for each peripheral curve "
                     f"({', '.join(names)}), got {p!r}"
                 )
-
-        @classmethod
-        def of(cls, slope: CurveClass | None, periph: tuple[int, ...]):
-            return cls(slope, periph)
 
         def sort_key(self):
             if self.slope is None:
@@ -334,7 +330,7 @@ def _exponent_sum(labels) -> tuple[int, ...]:
 
 def shifted(label, *labels):
     """``label`` with the peripheral exponents of ``labels`` added to its own."""
-    return label.of(label.slope, _exponent_sum((label, *labels)))
+    return type(label)(label.slope, _exponent_sum((label, *labels)))
 
 
 def dress(elem: SkeinElement, *labels) -> SkeinElement:
@@ -349,7 +345,7 @@ def dress(elem: SkeinElement, *labels) -> SkeinElement:
     if not any(shift):
         return elem
     return elem.map_labels(
-        lambda label: label.of(label.slope, tuple(map(add, label.periph, shift)))
+        lambda label: type(label)(label.slope, tuple(map(add, label.periph, shift)))
     )
 
 
@@ -369,7 +365,7 @@ def apply_mcg(elem: SkeinElement, m: MappingClass) -> SkeinElement:
 
     def act(label):
         p = tuple(label.periph[j] for j in perm)
-        return label.of(None if label.slope is None else m.apply(label.slope), p)
+        return type(label)(None if label.slope is None else m.apply(label.slope), p)
 
     return elem.map_labels(act)
 
@@ -381,12 +377,12 @@ def instantiate(
     from its coefficients over the basis sequence (``expand_in``).
 
     The coefficient of basis_k lands on the slope ``k * prim`` and that of
-    basis_0 on the empty slope; every label is built by ``like.of`` and
+    basis_0 on the empty slope; every label has the class of ``like`` and
     carries ``like.periph``.
     """
-    of, periph = like.of, like.periph
+    kind, periph = type(like), like.periph
     terms = [
-        (of(None if k == 0 else prim.scaled(k), periph), c)
+        (kind(None if k == 0 else prim.scaled(k), periph), c)
         for k, c in enumerate(coeffs)
         if not c.is_zero
     ]
@@ -431,9 +427,9 @@ def convert(elem: SkeinElement, target: PolySeq, source: PolySeq) -> SkeinElemen
                     for j, cj in enumerate(coeffs)
                     if not cj.is_zero
                 ]
-        of = label.of
+        kind = type(label)
         if label.slope is None:
-            terms += [(of(None, p), pc) for p, pc in periphs]
+            terms += [(kind(None, p), pc) for p, pc in periphs]
             continue
         d, prim = gcd_decompose(label.slope)
         for k, ck in enumerate(expansion_coeffs(source, target, d)):
@@ -441,7 +437,7 @@ def convert(elem: SkeinElement, target: PolySeq, source: PolySeq) -> SkeinElemen
                 # The top term lands on the label's own slope.
                 slope = label.slope if k == d else None if k == 0 else prim.scaled(k)
                 for p, pc in periphs:
-                    terms.append((of(slope, p), pc * ck))
+                    terms.append((kind(slope, p), pc * ck))
     return SkeinElement(elem.surface, target.name, terms)
 
 

@@ -72,7 +72,6 @@ __all__ = [
     "PTorusLabel",
     "PT_EMPTY",
     "plabel",
-    "parity_indicator",
     "mul_once",
     "mul_t10_tn2",
     "g_closed",
@@ -97,16 +96,6 @@ PT_EMPTY = PTorusLabel()
 def plabel(r: int | None = None, s: int | None = None, u: int = 0) -> PTorusLabel:
     slope = None if r is None else curve(r, s)
     return PTorusLabel(slope, (u,))
-
-
-def parity_indicator(n: int) -> int:
-    """1 for odd n, 0 for even n: whether the peripheral correction fires."""
-    return n & 1
-
-
-def _on_curve(p: Poly1, prim: CurveClass, like=PT_EMPTY) -> SkeinElement:
-    """p read in the type-one flavor on a primitive curve, with like's U-power."""
-    return instantiate(SURFACE, expand_in(p, THAT), prim, THAT, like)
 
 
 def mul_once(a: PTorusLabel, b: CurveClass) -> SkeinElement:
@@ -144,7 +133,7 @@ def mul_t10_tn2(n: int) -> SkeinElement:
         (PTorusLabel(curve(n + 1, 2)), q_power(2)),
         (PTorusLabel(curve(n - 1, 2)), q_power(-2)),
     ]
-    if parity_indicator(n):
+    if n % 2:
         terms.append((PTorusLabel(None, (1,)), ONE))
         terms.append((PT_EMPTY, q_power(2) + q_power(-2)))
     return SkeinElement(SURFACE, "that", terms)
@@ -174,14 +163,14 @@ def g_recursive(n: int) -> list[Poly1]:
 
         G_m = q^-1 x G_{m-1} - q^-2 G_{m-2} + q^(m-2) A_{m-1},
 
-    where A is the odd-parity indicator and G_0 = G_1 = 0.
+    where A_m = m mod 2 and G_0 = G_1 = 0.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     table = [Poly1(), Poly1()]
     for m in range(2, n + 1):
         p = (X * table[m - 1]).scaled(q_power(-1)) - table[m - 2].scaled(q_power(-2))
-        if parity_indicator(m - 1):
+        if (m - 1) % 2:
             p = p + Poly1.const(q_power(m - 2))
         table.append(p)
     return table[: n + 1]
@@ -192,25 +181,20 @@ def mul_tn1_t01(n: int) -> SkeinElement:
 
         q^n (n,2) + q^-n (n,0) + (U + q^2 + q^-2) G_n((1,0)).
 
-    At n = 0 the product is the square of one curve, computed by expanding
-    x^2 over the basis (the (n,0) term degenerates to twice the empty
-    label there).
+    G_n is read onto (1,0) once; its labels are U-free and U is central, so
+    the U term is that element dressed with U.  At n = 0 the product is the
+    square of one curve, x T^_1 = T^_2 + 2 by the three-term rule (the
+    (n,0) term degenerates to twice the empty label there).
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
-        return _on_curve(X * X, curve(0, 1))
+        return instantiate(SURFACE, _x_times(THAT, 1), curve(0, 1), THAT, PT_EMPTY)
     slopes = q_pair(SURFACE, "that", PTorusLabel(curve(n, 2)), PTorusLabel(curve(n, 0)), n)
-    g = g_closed(n)
-    a_curve = curve(1, 0)
+    g = instantiate(SURFACE, expand_in(g_closed(n), THAT), curve(1, 0), THAT, PT_EMPTY)
+    u_term = dress(g, PTorusLabel(None, (1,)))
     return combine(
-        SURFACE,
-        "that",
-        [
-            (slopes, 1),
-            (_on_curve(g, a_curve, PTorusLabel(None, (1,))), 1),
-            (_on_curve(g, a_curve), q_power(2) + q_power(-2)),
-        ],
+        SURFACE, "that", [(slopes, 1), (u_term, 1), (g, q_power(2) + q_power(-2))]
     )
 
 

@@ -1,6 +1,7 @@
 """Every fast path of the ring kernel and of change of basis against the
 reference it replaced: the Poly1-based elimination, expansion without the
 shared-entry shortcut, x P_d by the three-term rule instead of elimination,
+the punctured-torus (n,1) * (0,1) that eliminated G_n once per peripheral term,
 results built through the public constructors, the element sums that each
 merged terms on their own before ``combine``, the element builder that hashed
 each label three times, the slope hash computed on every call, the torus
@@ -19,10 +20,12 @@ from skeinalg.elements import (
     SkeinElement,
     combine,
     convert,
+    instantiate,
     label_from_json,
     label_from_text,
+    q_pair,
 )
-from skeinalg.laurent import ONE, ZERO, Laurent
+from skeinalg.laurent import ONE, ZERO, Laurent, q_power
 from skeinalg.polyseq import (
     CHEB_S,
     MONOMIAL,
@@ -173,6 +176,41 @@ def test_power_of_10_row_builds_no_sequence_entry():
             got.append(skein_s04.product(S04Label(a), S04Label(b), flavor))
         assert [elem.text() for elem in got] == [f"({k - 1},0) + ({k + 1},0)"] * 3
         assert (len(THAT._polys), len(CHEB_S._polys)) == built
+
+
+# -- (n,1) * (0,1) reading G_n onto (1,0) once --------------------------------
+
+
+def reference_mul_tn1_t01(n: int) -> SkeinElement:
+    """(n,1) * (0,1) with G_n eliminated over T^ once per peripheral term,
+    each read onto (1,0) with a template label carrying its U-power, and the
+    n = 0 seed by eliminating x^2."""
+
+    def on_curve(p, prim, like=skein_ptorus.PT_EMPTY):
+        return instantiate("t11", expand_in(p, THAT), prim, THAT, like)
+
+    if n == 0:
+        return on_curve(X * X, curve(0, 1))
+    slopes = q_pair("t11", "that", PTorusLabel(curve(n, 2)), PTorusLabel(curve(n, 0)), n)
+    g, a = skein_ptorus.g_closed(n), curve(1, 0)
+    u_term = on_curve(g, a, PTorusLabel(None, (1,)))
+    return combine(
+        "t11", "that", [(slopes, 1), (u_term, 1), (on_curve(g, a), q_power(2) + q_power(-2))]
+    )
+
+
+def test_mul_tn1_t01_reads_g_once(monkeypatch):
+    calls = []
+
+    def counted(p, basis):
+        calls.append(p)
+        return expand_in(p, basis)
+
+    monkeypatch.setattr(skein_ptorus, "expand_in", counted)
+    for n in range(41):
+        calls.clear()
+        assert skein_ptorus.mul_tn1_t01(n) == reference_mul_tn1_t01(n)
+        assert len(calls) == (1 if n else 0)
 
 
 # -- canonical values from the private constructors ----------------------------
@@ -586,7 +624,7 @@ def test_labels_match_the_classes_they_replaced(case):
         assert label.text() == text(label)
         assert json.dumps(label.json_obj()) == json.dumps(json_obj(label))
         assert label_from_json(kind, json.loads(json.dumps(label.json_obj()))) == label
-        assert label.of(label.slope, label.periph) == label
+        assert kind(label.slope, label.periph) == label
 
 
 # -- operand text: one reader against the three surface parsers it replaced ----

@@ -2,12 +2,12 @@
 
 A table row that held a rule captured at import would bypass the tracer's
 module rebinding, and its counter would read zero; this catches that in
-the test suite rather than only in a benchmark run.  The torus-unique and
-torus-scan cases also check, at small sizes, the gates a traced benchmark
-run applies to those workloads: the worker's cold-start guard, the work
-counter and every exercised counter.  The tracer patches the three label
-classes by name, so they must stay three classes: patching one class three
-times would count each label hash three times.
+the test suite rather than only in a benchmark run.  One traced process per
+workload also checks, at small sizes, the gates a traced benchmark run
+applies to it: the worker's cold-start guard, the work counter where the
+workload has one, and every exercised counter.  The tracer patches the
+three label classes by name, so they must stay three classes: patching one
+class three times would count each label hash three times.
 """
 
 import json
@@ -100,6 +100,27 @@ print(json.dumps({
 """
 
 
+TOWER_SCRIPT = r"""
+import contextlib, io, json, sys
+import skeinalg.cli
+import worker
+cold = worker.cold_state_errors()
+import layertrace
+from workloads import EXERCISED
+from skeinalg import cli
+
+workload, calls = sys.argv[1], json.loads(sys.argv[2])
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+print(json.dumps({
+    "cold": cold, "codes": codes, "watched": EXERCISED[workload],
+    "results": tracer.results(),
+}))
+"""
+
+
 LABEL_SCRIPT = r"""
 import json
 import layertrace
@@ -120,14 +141,14 @@ print(json.dumps({"steps": steps, "classes": len(set(map(id, kinds)))}))
 """
 
 
-def _run_traced(script: str) -> dict:
+def _run_traced(script: str, *args: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "benchmarks")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -160,6 +181,23 @@ def test_torus_scan_passes_the_benchmark_gates():
     assert out["results"]["skein_torus.mul"] == out["pairs"]
     zero = [name for name in out["watched"] if not out["results"].get(name)]
     assert zero == []
+
+
+def _tower_gates(workload: str, surface: str, checks: tuple[str, str]):
+    calls = [[surface, "verify", name, "--n-max", "6"] for name in checks]
+    out = _run_traced(TOWER_SCRIPT, workload, json.dumps(calls))
+    assert out["cold"] == []
+    assert out["codes"] == [0, 0]
+    zero = [name for name in out["watched"] if not out["results"].get(name)]
+    assert zero == []
+
+
+def test_sphere_tower_passes_the_benchmark_gates():
+    _tower_gates("sphere-tower", "s04", ("h-bounds", "tna-b"))
+
+
+def test_ptorus_tower_passes_the_benchmark_gates():
+    _tower_gates("ptorus-tower", "ptor", ("consistency", "g-closed"))
 
 
 def test_each_label_hash_counts_once():

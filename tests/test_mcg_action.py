@@ -39,7 +39,7 @@ SURFACES = {"t10": (TorusLabel, 0), "t11": (PTorusLabel, 1), "s04": (S04Label, 4
 def _elements(surface):
     kind, n = SURFACES[surface]
     periphs = st.tuples(*[st.integers(0, 3)] * n)
-    labels = st.builds(kind.of, slopes, periphs)
+    labels = st.builds(kind, slopes, periphs)
     terms = st.lists(st.tuples(labels, st.integers(-3, 3)), max_size=5)
     return terms.map(lambda ts: SkeinElement(surface, "that", ts))
 

@@ -21,7 +21,6 @@ from skeinalg.skein_ptorus import (
     mul_once,
     mul_t10_tn2,
     mul_tn1_t01,
-    parity_indicator,
     plabel,
     two_way_expansion,
     upper_bound_extract,
@@ -54,10 +53,6 @@ def test_mul_once_preconditions():
         mul_once(plabel(1, 0), curve(0, 2))  # non-primitive right factor
     with pytest.raises(NoProductRuleError):
         mul_once(PTorusLabel(None, (2,)), curve(0, 1))  # no slope on the left
-
-
-def test_parity_indicator():
-    assert [parity_indicator(n) for n in (-2, -1, 0, 1, 2, 3)] == [0, 1, 0, 1, 0, 1]
 
 
 def test_mul_t10_tn2_examples():
