@@ -4,7 +4,9 @@ Each subcommand is one row of ``COMMANDS``: its help string, its arguments
 as ``(name, add_argument kwargs)`` pairs, and ``run(args)``, which returns
 ``(passed, json_obj, text_lines)``, the verdict and one thunk per rendering.
 ``build_parser`` adds the rows, each with ``--json``; ``main`` prints one
-rendering and exits 0 if the verdict passed, else 2.
+rendering and exits 0 if the verdict passed, else 2.  The JSON thunk may
+leave objects in its tree, which the encoder writes one at a time through
+their own ``to_json_obj``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _tor_scan(args):
             yield (f"first witness: {w.inputs[0]} * {w.inputs[1]} -> "
                    f"label {w.label}, coefficient {w.coeff}")
 
-    return report.passed, report.to_json_obj, text
+    return report.passed, report.json_tree, text
 
 
 def _ptor_mul(args):
@@ -278,7 +280,8 @@ def main(argv=None) -> int:
     try:
         passed, json_obj, text_lines = args.run(args)
         if args.json:
-            print(json.dumps(json_obj(), separators=(",", ":")))
+            print(json.dumps(json_obj(), separators=(",", ":"),
+                             default=lambda obj: obj.to_json_obj()))
         else:
             print("\n".join(text_lines()))
     except (ValueError, OSError) as exc:

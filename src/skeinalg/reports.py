@@ -22,10 +22,11 @@ VERDICT_POSITIVE = "certified-positive-up-to-bound"
 VERDICT_VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """One offending structure constant: which product, which label, which
-    coefficient."""
+    coefficient.  A scan records thousands, so they carry no ``__dict__`` and
+    may share their parts: the parts are immutable."""
 
     inputs: tuple[str, ...]
     label: str
@@ -64,15 +65,22 @@ class PositivityReport:
     def first_witness(self) -> Witness | None:
         return self.witnesses[0] if self.witnesses else None
 
-    def to_json_obj(self) -> dict:
+    def json_tree(self) -> dict:
+        """The JSON form with the witnesses left as ``Witness`` objects, for an
+        encoder whose ``default`` writes each through its ``to_json_obj``."""
         return {
             "surface": self.surface,
             "sequence": self.sequence,
             "bound": self.bound,
             "q1": self.q1,
             "verdict": self.verdict,
-            "witnesses": [w.to_json_obj() for w in self.witnesses],
+            "witnesses": self.witnesses,
         }
+
+    def to_json_obj(self) -> dict:
+        obj = self.json_tree()
+        obj["witnesses"] = [w.to_json_obj() for w in self.witnesses]
+        return obj
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .curves import CurveClass, curve
 from . import elements
 from .elements import SkeinElement, combine, convert, label_type, single
-from .laurent import q_power
+from .laurent import Laurent, q_power
 from .polyseq import THAT, PolySeq
 from .reports import PositivityReport, Witness
 
@@ -99,23 +99,29 @@ def positivity_scan(P: PolySeq, bound: int, *, q1: bool = False) -> PositivityRe
 
     Scans ordered pairs of canonical labels in (s, r)-lexicographic order
     and records every coefficient outside the positive part; the first
-    recorded witness is deterministic.
+    recorded witness is deterministic.  The witnesses of one pair share its
+    ``inputs`` tuple, and equal label texts and equal coefficients are one
+    object each, so memory grows with the distinct values, not the witnesses.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    labels = [TorusLabel(c) for c in canonical_slopes(bound)]
-    that_forms = {
-        lab: convert(single(SURFACE, P.name, lab), THAT, P) for lab in labels
-    }
+    box = [
+        (lab.text(), convert(single(SURFACE, P.name, lab), THAT, P))
+        for lab in map(TorusLabel, canonical_slopes(bound))
+    ]
+    texts: dict[str, str] = {}
+    coeffs: dict[Laurent, Laurent] = {}
     witnesses: list[Witness] = []
-    for a in labels:
-        for b in labels:
-            prod = convert(mul(that_forms[a], that_forms[b]), P, THAT)
+    for a, a_form in box:
+        for b, b_form in box:
+            inputs = (a, b)
+            prod = convert(mul(a_form, b_form), P, THAT)
             for label, cf in prod.items():
                 if not cf.is_positive(q1):
-                    witnesses.append(
-                        Witness((a.text(), b.text()), label.text(), cf)
-                    )
+                    text = label.text()
+                    witnesses.append(Witness(
+                        inputs, texts.setdefault(text, text), coeffs.setdefault(cf, cf)
+                    ))
     return PositivityReport(SURFACE, P.name, bound, witnesses, q1=q1)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinalg import polyseq, positivity, skein_ptorus, skein_s04, skein_torus
+from skeinalg import cli, polyseq, positivity, skein_ptorus, skein_s04, skein_torus
 from skeinalg.cli import build_parser, main
 
 GOLDEN_TOR_MUL = (
@@ -101,6 +101,44 @@ def test_scan_that_passes(capsys):
     assert "certified-positive-up-to-bound" in out
     code, _ = run(capsys, "tor", "scan", "--basis", "that", "--bound", "3", "--q1")
     assert code == 0
+
+
+def _mixed_table(path, top):
+    """Write T̂ with P_2 = S_2 = x^2 - 1, a sequence of the sandwich that is
+    neither end, up to P_top as a ``file:`` table."""
+    polys = [polyseq.THAT.poly(n) for n in range(top + 1)]
+    polys[2] = polyseq.CHEB_S.poly(2)
+    path.write_text("".join(
+        f"{n}: {' '.join(str(c.coeff(0)) for c in p.coeffs)}\n" for n, p in enumerate(polys)
+    ))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("basis", ["that", "s", "monomial", "file"])
+@pytest.mark.parametrize(
+    "bound, q1", [(b, q1) for b in range(1, 6) for q1 in (False, True) if b <= 3 or not q1]
+)
+def test_scan_json_equals_report(tmp_path, capsys, basis, bound, q1):
+    # The encoder writes each witness while it runs; the bytes must be those
+    # of the report's whole JSON tree.
+    if basis == "file":
+        basis = _mixed_table(tmp_path / "seq.txt", 2 * bound)
+    argv = ["tor", "scan", "--basis", basis, "--bound", str(bound), "--json"]
+    code, out = run(capsys, *argv, *(["--q1"] if q1 else []))
+    report = skein_torus.positivity_scan(cli.resolve_sequence(basis), bound, q1=q1)
+    assert out == json.dumps(report.to_json_obj(), separators=(",", ":")) + "\n"
+    assert code == (0 if report.passed else 2)
+    if basis == "that":
+        assert report.passed
+
+
+def test_scan_of_a_short_table_prints_only_the_error(tmp_path, capsys):
+    # Bound 3 reaches multiplicity 6; the table stops at 4.
+    basis = _mixed_table(tmp_path / "seq.txt", 4)
+    assert main(["tor", "scan", "--basis", basis, "--bound", "3", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: sequence '{basis}' is only defined up to n = 4\n"
 
 
 def test_tor_mul_json_reparses(capsys):

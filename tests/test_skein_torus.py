@@ -1,7 +1,11 @@
+import contextlib
+import io
 import random
+import tracemalloc
 
 import pytest
 
+from skeinalg import cli
 from skeinalg.curves import MappingClass, curve, sigma
 from skeinalg.elements import SkeinElement, apply_mcg, label_from_text, single
 from skeinalg.laurent import ONE, Laurent, const, parse_laurent, q_power
@@ -221,6 +225,35 @@ def test_scan_monomial_first_violation_frozen():
     assert first.inputs == ("(1,0)", "(-3,2)")
     assert first.label == "1"
     assert first.coeff == parse_laurent("-2q^2-2q^-2")
+
+
+def test_scan_witnesses_share_their_parts():
+    witnesses = positivity_scan(CHEB_S, 4).witnesses
+    pairs = {}
+    for w in witnesses:
+        assert w.inputs is pairs.setdefault(w.inputs, w.inputs)
+    assert len(pairs) > 1
+    for part in ("label", "coeff"):
+        values = [getattr(w, part) for w in witnesses]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    assert not hasattr(witnesses[0], "__dict__")
+
+
+def test_scan_json_memory_stays_near_its_output():
+    # The witnesses are encoded one at a time, so the peak is a small
+    # multiple of the bytes printed: about 10x on CPython 3.11, and about
+    # 25x when every witness dict is built before encoding.
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["tor", "scan", "--basis", "s", "--bound", "6", "--json"]) == 2
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    printed = len(out.getvalue().encode())
+    assert peak < 15 * printed, (peak, printed)
 
 
 def test_scan_q1_specializes():
