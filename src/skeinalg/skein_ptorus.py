@@ -337,14 +337,17 @@ def upper_bound_extract(P: PolySeq, n: int) -> tuple[int, SkeinElement]:
     """
     if P.poly(1) != X:
         raise ValueError(f"sequence {P.name!r} does not have P_1 = x")
-    for k in range(n + 1):
+    product = mul_tn1_t01(n)
+    # A slope of multiplicity d, or U^d, is read in P through P_0..P_d.
+    top = max(max(lab.slope.d if lab.slope else 0, *lab.periph) for lab in product.labels())
+    for k in range(top + 1):
         for c in P.poly(k).coeffs:
             if not c.is_zero and c.q_degree_range() != (0, 0):
                 raise ValueError(
                     f"sequence {P.name!r} has q-dependent coefficients at "
                     f"degree {k}"
                 )
-    return lowest_q_layer(convert(mul_tn1_t01(n), P, THAT))
+    return lowest_q_layer(convert(product, P, THAT))
 
 
 def element_from_json(obj: dict) -> SkeinElement:

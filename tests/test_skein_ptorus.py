@@ -207,8 +207,17 @@ def test_upper_bound_extract_requires_integer_coeffs():
     qseq = PolySeq.from_polys(
         "qseq", [Poly1([1]), Poly1([0, 1]), Poly1([q_power(1), 0, 1])]
     )
-    with pytest.raises(ValueError):
-        upper_bound_extract(qseq, 2)
+    # At n = 0, (0,1)*(0,1) = T^_2 + 2 reads P_2 through the label (0,2).
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="q-dependent coefficients at degree 2"):
+            upper_bound_extract(qseq, n)
+
+
+def test_upper_bound_extract_two_entries_serve_n1():
+    short = PolySeq.from_polys("short", [Poly1([1]), Poly1([0, 1])])
+    low, elem = upper_bound_extract(short, 1)
+    assert low == -1
+    assert elem == single(SURFACE, "short", plabel(1, 0))
 
 
 def test_element_json_round_trip():
